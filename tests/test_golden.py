@@ -1,0 +1,98 @@
+"""Byte-for-byte golden tests of the command line's stdout.
+
+Each case runs ``dispatch`` in process and compares its stdout with a frozen
+file in ``tests/golden/``.  The sweep case also compares the records file
+written by ``--out``, with every ``timestamp`` value blanked.
+
+Fixtures are written once and never edited; to add a case, add it to CASES
+and run ``PYTHONPATH=src python tests/test_golden.py``, which writes only the
+fixtures that do not exist yet.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from dlcensus.cli import dispatch
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for command in ("count", "predict", "compare"):
+        for fmt in ("text", "csv", "json"):
+            for p in ("7", "13"):
+                for eq in ("fp", "ha", "tc", "all"):
+                    cases[f"{command}-p{p}-{eq}.{fmt}"] = [
+                        command, "--prime", p, "--equation", eq, "--format", fmt]
+            cases[f"{command}-p100057-all.{fmt}"] = [
+                command, "--prime", "100057", "--equation", "all", "--format", fmt]
+    for p in ("7", "13", "100057"):
+        for digits in ("0", "5"):
+            cases[f"predict-p{p}-all-digits{digits}.text"] = [
+                "predict", "--prime", p, "--equation", "all", "--digits", digits]
+    return cases
+
+
+CASES = _cases()
+SWEEP_ARGV = ["sweep", "--start", "1000", "--count", "3", "--threads", "1"]
+
+
+def _stdout(capsysbinary, argv: list[str]) -> bytes:
+    code = dispatch(argv)
+    out = capsysbinary.readouterr().out
+    assert code == 0, argv
+    return out
+
+
+def _blank_timestamps(jsonl: bytes) -> bytes:
+    lines = []
+    for line in jsonl.decode().splitlines():
+        record = json.loads(line)
+        record["timestamp"] = ""
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["sweep-start1000-count3"])
+def test_stdout_matches_golden(name, capsysbinary, tmp_path):
+    if name in CASES:
+        assert _stdout(capsysbinary, CASES[name]) == (GOLDEN / name).read_bytes()
+        return
+    out_file = tmp_path / "sweep.jsonl"
+    stdout = _stdout(capsysbinary, SWEEP_ARGV + ["--out", str(out_file)])
+    assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert _blank_timestamps(out_file.read_bytes()) == \
+        (GOLDEN / f"{name}.jsonl").read_bytes()
+
+
+def _write_missing_fixtures() -> None:
+    import contextlib
+    import io
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+
+    def run(argv: list[str]) -> bytes:
+        buffer = io.BytesIO()
+        text = io.TextIOWrapper(buffer, encoding="utf-8", write_through=True)
+        with contextlib.redirect_stdout(text):
+            assert dispatch(argv) == 0, argv
+        return buffer.getvalue()
+
+    for name, argv in CASES.items():
+        if not (GOLDEN / name).exists():
+            (GOLDEN / name).write_bytes(run(argv))
+    stdout_file = GOLDEN / "sweep-start1000-count3.stdout"
+    if not stdout_file.exists():
+        with tempfile.TemporaryDirectory() as tmp:
+            out_file = Path(tmp) / "sweep.jsonl"
+            stdout_file.write_bytes(run(SWEEP_ARGV + ["--out", str(out_file)]))
+            (GOLDEN / "sweep-start1000-count3.jsonl").write_bytes(
+                _blank_timestamps(out_file.read_bytes()))
+
+
+if __name__ == "__main__":
+    _write_missing_fixtures()
