@@ -4,6 +4,8 @@ For p = 7 the discrete exponentiation map x -> g^x mod 7 can be tabulated in
 full, so every count below can be confirmed by staring at the tables.
 """
 
+import math
+
 from dlcensus import (
     build_ha_buckets,
     build_tables,
@@ -21,7 +23,9 @@ tables = build_tables(p)
 print(f"p = {p}, primitive root = {tables.root}")
 print(f"powers of {tables.root}: {[int(x) for x in tables.pow]}")
 print(f"index (discrete log) of each residue 1..6: {[int(x) for x in tables.ind[1:]]}")
-print(f"multiplicative orders: {[int(x) for x in tables.ord[1:]]}")
+# The order of x is n / gcd(ind(x), n), read straight off the index table.
+orders = [tables.n // math.gcd(int(i), tables.n) for i in tables.ind[1:]]
+print(f"multiplicative orders: {orders}")
 print()
 
 # Residue classes: PR = primitive root, RP = coprime to p-1.

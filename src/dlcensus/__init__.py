@@ -36,7 +36,6 @@ from .numtheory import (
     euler_phi,
     factorize,
     is_prime,
-    mod_pow,
     multiplicative_order,
     next_primes,
     prime_context,

@@ -12,8 +12,10 @@ ordered pairs drawn from equal-key buckets.  A tc solution is a completion g
 of a bucket pair (h, a); the trivial part (a = h) is exactly the fp solution
 set.
 
-All counters return a CountMatrix indexed by the condition classes of the
-row variable (g for fp/tc, a for ha) and of h.  Work may be partitioned over
+All counters return a CountMatrix: rows are the condition classes of the row
+variable (g for fp/tc, a for ha), plus the ORD row for tc, and columns the
+classes of h; entry(part, row, col) reads any cell, and the total part is
+derived as trivial + nontrivial.  Work may be partitioned over
 worker threads; partial tallies are plain integer matrices merged by
 addition, so results are identical for every worker count.
 """
@@ -48,8 +50,11 @@ class Equation(enum.Enum):
     HA = "ha"
     TC = "tc"
 
+    @property
+    def row_var(self) -> str:
+        """The variable indexing matrix rows: a for ha, g otherwise."""
+        return "a" if self is Equation.HA else "g"
 
-_ROW_VARS = {Equation.FP: "g", Equation.HA: "a", Equation.TC: "g"}
 
 _PART_NAMES = ("trivial", "nontrivial", "total")
 
@@ -58,26 +63,34 @@ _PART_NAMES = ("trivial", "nontrivial", "total")
 class CountMatrix:
     """Observed solution counts for one equation at one prime.
 
-    trivial/nontrivial/total are 4x4 int64 matrices indexed by CLASSES
-    (rows: g for fp/tc, a for ha; columns: h).  fp has no split: its trivial
-    matrix is zero and total equals nontrivial.  For tc only, ord_trivial and
-    ord_nontrivial tally, per h-class, the solutions whose companion
-    a = g^h is coprime to n; those are exactly the solutions in one-to-one
-    correspondence with ha solutions having a RP, and every one of them has
-    ord(g) = ord(h).
+    trivial and nontrivial are 4x4 int64 matrices indexed by CLASSES (rows:
+    g for fp/tc, a for ha; columns: h), and total is their sum.  fp has no
+    split: its trivial matrix is zero.  For tc only, ord_trivial and
+    ord_nontrivial hold the ORD row: per h-class, the solutions whose
+    companion a = g^h is coprime to n; those are exactly the solutions in
+    one-to-one correspondence with ha solutions having a RP, and every one of
+    them has ord(g) = ord(h).
     """
 
     p: int
     equation: Equation
     trivial: np.ndarray
     nontrivial: np.ndarray
-    total: np.ndarray
     ord_trivial: np.ndarray | None = None
     ord_nontrivial: np.ndarray | None = None
 
     @property
     def row_var(self) -> str:
-        return _ROW_VARS[self.equation]
+        return self.equation.row_var
+
+    @property
+    def rows(self) -> tuple[ConditionClass, ...]:
+        """Row classes: CLASSES, then ORD for tc."""
+        return CLASSES if self.ord_trivial is None else (*CLASSES, ConditionClass.ORD)
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.trivial + self.nontrivial
 
     def part(self, name: str) -> np.ndarray:
         if name not in _PART_NAMES:
@@ -85,61 +98,35 @@ class CountMatrix:
         return getattr(self, name)
 
     def entry(self, part: str, row: ConditionClass, col: ConditionClass) -> int:
-        return int(self.part(part)[CLASSES.index(row), CLASSES.index(col)])
-
-    def ord_entry(self, part: str, col: ConditionClass) -> int:
-        if self.ord_trivial is None or self.ord_nontrivial is None:
-            raise InvalidInputError(f"{self.equation.value} census carries no ord row")
-        j = CLASSES.index(col)
+        """One count; row ORD exists for tc only."""
+        if row is not ConditionClass.ORD:
+            trivial, nontrivial = self.trivial, self.nontrivial
+            at = (CLASSES.index(row), CLASSES.index(col))
+        elif self.ord_trivial is not None:
+            trivial, nontrivial = self.ord_trivial, self.ord_nontrivial
+            at = CLASSES.index(col)
+        else:
+            raise InvalidInputError(f"{self.equation.value} census has no ORD row")
         if part == "trivial":
-            return int(self.ord_trivial[j])
+            return int(trivial[at])
         if part == "nontrivial":
-            return int(self.ord_nontrivial[j])
+            return int(nontrivial[at])
         if part == "total":
-            return int(self.ord_trivial[j] + self.ord_nontrivial[j])
+            return int(trivial[at]) + int(nontrivial[at])
         raise InvalidInputError(f"unknown part {part!r}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountMatrix):
             return NotImplemented
-        ords_equal = (
-            (self.ord_trivial is None) == (other.ord_trivial is None)
-            and (self.ord_trivial is None
-                 or (np.array_equal(self.ord_trivial, other.ord_trivial)
-                     and np.array_equal(self.ord_nontrivial, other.ord_nontrivial)))
-        )
-        return (self.p == other.p and self.equation == other.equation
-                and np.array_equal(self.trivial, other.trivial)
-                and np.array_equal(self.nontrivial, other.nontrivial)
-                and np.array_equal(self.total, other.total)
-                and ords_equal)
-
-    def to_payload(self) -> dict:
-        """JSON-ready nested dict keyed by class names."""
-        def grid(m: np.ndarray) -> dict:
-            return {r.value: {c.value: int(m[i, j]) for j, c in enumerate(CLASSES)}
-                    for i, r in enumerate(CLASSES)}
-
-        payload = {
-            "p": self.p,
-            "equation": self.equation.value,
-            "row_var": self.row_var,
-            "parts": {name: grid(self.part(name)) for name in _PART_NAMES},
-        }
-        if self.ord_trivial is not None:
-            payload["ord_row"] = {
-                "trivial": {c.value: int(v) for c, v in zip(CLASSES, self.ord_trivial)},
-                "nontrivial": {c.value: int(v) for c, v in zip(CLASSES, self.ord_nontrivial)},
-                "total": {c.value: int(v) for c, v in
-                          zip(CLASSES, self.ord_trivial + self.ord_nontrivial)},
-            }
-        else:
-            payload["ord_row"] = None
-        return payload
+        return (self.p == other.p and self.equation is other.equation
+                and self.rows == other.rows
+                and all(self.entry(part, row, col) == other.entry(part, row, col)
+                        for part in ("trivial", "nontrivial")
+                        for row in self.rows for col in CLASSES))
 
 
 def _freeze(m: CountMatrix) -> CountMatrix:
-    for arr in (m.trivial, m.nontrivial, m.total, m.ord_trivial, m.ord_nontrivial):
+    for arr in (m.trivial, m.nontrivial, m.ord_trivial, m.ord_nontrivial):
         if arr is not None:
             arr.setflags(write=False)
     return m
@@ -149,14 +136,13 @@ def _freeze(m: CountMatrix) -> CountMatrix:
 class HaBuckets:
     """Residues grouped by key(x) = x*ind(x) mod n.
 
-    (h, a) solves h^h = a^a (mod p) iff key[h] = key[a].  members lists the
+    (h, a) solves h^h = a^a (mod p) iff key(h) = key(a).  members lists the
     residues ordered by key; bucket i occupies members[offsets[i]:offsets[i+1]]
     and combo_counts[i] tallies its residues per PR/RP combo.
     """
 
     p: int
     n: int
-    key: np.ndarray  # uint32, length p, residue-indexed; entry 0 is padding
     members: np.ndarray  # uint32, length n
     offsets: np.ndarray  # int64, length num_buckets + 1
     bucket_keys: np.ndarray  # uint32, one per bucket
@@ -172,10 +158,6 @@ class HaBuckets:
 
     def bucket_members(self, i: int) -> np.ndarray:
         return self.members[self.offsets[i]:self.offsets[i + 1]]
-
-    def class_counts_for_bucket(self, i: int) -> np.ndarray:
-        """Length-4 vector of bucket member counts per condition class."""
-        return class_vector(self.combo_counts[i])
 
 
 def _split_ranges(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
@@ -260,20 +242,18 @@ def count_fp(t: ResidueTables, workers: int = 1) -> CountMatrix:
         return (tally,)
 
     (tally,) = _merge_partials(worker, _split_ranges(1, t.p, workers), workers)
-    total = class_matrix(tally.reshape(4, 4))
-    zero = np.zeros((4, 4), dtype=np.int64)
     return _freeze(CountMatrix(p=t.p, equation=Equation.FP,
-                               trivial=zero, nontrivial=total.copy(), total=total))
+                               trivial=np.zeros((4, 4), dtype=np.int64),
+                               nontrivial=class_matrix(tally.reshape(4, 4))))
 
 
 def build_ha_buckets(t: ResidueTables) -> HaBuckets:
     """Group residues by key(x) = x*ind(x) mod n in O(n log n)."""
     n = t.n
-    key = ((np.arange(t.p, dtype=np.int64) * t.ind) % n).astype(np.uint32)
-    key[0] = 0
-    order = np.argsort(key[1:], kind="stable")
+    key = ((np.arange(1, t.p, dtype=np.int64) * t.ind[1:]) % n).astype(np.uint32)
+    order = np.argsort(key, kind="stable")
     members = (order + 1).astype(np.uint32)
-    sorted_keys = key[1:][order]
+    sorted_keys = key[order]
     cuts = np.flatnonzero(np.diff(sorted_keys)) + 1
     offsets = np.concatenate([[0], cuts, [n]]).astype(np.int64)
     bucket_keys = sorted_keys[offsets[:-1]]
@@ -281,9 +261,9 @@ def build_ha_buckets(t: ResidueTables) -> HaBuckets:
     combo_counts = np.bincount(
         bucket_id * 4 + t.combo[members], minlength=4 * len(bucket_keys)
     ).reshape(-1, 4).astype(np.int64)
-    for arr in (key, members, offsets, bucket_keys, combo_counts):
+    for arr in (members, offsets, bucket_keys, combo_counts):
         arr.setflags(write=False)
-    return HaBuckets(p=t.p, n=n, key=key, members=members, offsets=offsets,
+    return HaBuckets(p=t.p, n=n, members=members, offsets=offsets,
                      bucket_keys=bucket_keys, combo_counts=combo_counts)
 
 
@@ -304,10 +284,9 @@ def count_ha(b: HaBuckets, t: ResidueTables, workers: int = 1) -> CountMatrix:
     ranges = _split_ranges(0, b.num_buckets, workers)
     (total_combo,) = _merge_partials(worker, ranges, workers)
     trivial_combo = np.diag(b.combo_counts.sum(axis=0))
-    total = class_matrix(total_combo)
     trivial = class_matrix(trivial_combo)
-    return _freeze(CountMatrix(p=t.p, equation=Equation.HA,
-                               trivial=trivial, nontrivial=total - trivial, total=total))
+    return _freeze(CountMatrix(p=t.p, equation=Equation.HA, trivial=trivial,
+                               nontrivial=class_matrix(total_combo) - trivial))
 
 
 def completions(h: int, a: int, t: ResidueTables) -> list[int]:
@@ -437,7 +416,6 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
             f"tc trivial part disagrees with the fp census at p={t.p}")
     return _freeze(CountMatrix(p=t.p, equation=Equation.TC,
                                trivial=trivial, nontrivial=nontrivial,
-                               total=trivial + nontrivial,
                                ord_trivial=class_vector(ord_triv),
                                ord_nontrivial=class_vector(ord_nont)))
 

@@ -45,11 +45,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_threads() -> int:
+def _threads(requested: int | None) -> int:
+    """Worker count: --threads, else DLCENSUS_THREADS, else every CPU this
+    process may run on; never more than those CPUs."""
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)  # the affinity call is Linux-only
     env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None and env.isdigit() and int(env) >= 1:
-        return int(env)
-    return os.cpu_count() or 1
+    if requested is None and env is not None:
+        try:
+            requested = _positive_int(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            print(f"dlcensus: error: {THREADS_ENV_VAR} must be a positive integer, "
+                  f"got {env!r}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+    return usable if requested is None else min(requested, usable)
 
 
 def _require_prime(p: int) -> None:
@@ -60,9 +69,7 @@ def _require_prime(p: int) -> None:
 
 
 def _equations(name: str) -> list[Equation]:
-    if name == "all":
-        return [Equation.FP, Equation.HA, Equation.TC]
-    return [Equation(name)]
+    return list(Equation) if name == "all" else [Equation(name)]
 
 
 def _build_parser() -> _Parser:
@@ -109,11 +116,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_count(args) -> int:
-    _require_prime(args.prime)
-    threads = args.threads or _default_threads()
-    wanted = _equations(args.equation)
-    tables = build_tables(args.prime)
+def _census(p: int, wanted: list[Equation], threads: int):
+    """Tables for p and the census matrices of the wanted equations, running
+    only the counters those need (tc needs fp and the ha buckets)."""
+    tables = build_tables(p)
     matrices = {}
     if Equation.FP in wanted or Equation.TC in wanted:
         matrices[Equation.FP] = census.count_fp(tables, workers=threads)
@@ -123,6 +129,13 @@ def _cmd_count(args) -> int:
         if Equation.TC in wanted:
             matrices[Equation.TC] = census.count_tc(
                 buckets, tables, matrices[Equation.FP], workers=threads)
+    return tables, matrices
+
+
+def _cmd_count(args) -> int:
+    _require_prime(args.prime)
+    wanted = _equations(args.equation)
+    _, matrices = _census(args.prime, wanted, args.threads)
     for eq in wanted:
         sys.stdout.buffer.write(report.render_counts(matrices[eq], args.format))
     sys.stdout.buffer.flush()
@@ -140,42 +153,42 @@ def _cmd_predict(args) -> int:
 
 
 def _compare_prime(p: int, equations: list[Equation], threads: int):
-    """Reports for one prime plus the cross-equation claims when applicable."""
+    """Reports for one prime, the cross-equation claims when applicable, and
+    the names of all failed claims.  All three censuses always run, so the
+    tc-trivial = fp invariant is checked on every comparison."""
     ctx = prime_context(p)
-    tables = build_tables(p)
+    tables, observed = _census(p, list(Equation), threads)
     counts = class_counts(tables)
-    buckets = census.build_ha_buckets(tables)
-    fp = census.count_fp(tables, workers=threads)
-    ha = census.count_ha(buckets, tables, workers=threads)
-    tc = census.count_tc(buckets, tables, fp, workers=threads)
-    observed = {Equation.FP: fp, Equation.HA: ha, Equation.TC: tc}
     reports = [report.compare(observed[eq], predictor.predict_matrix(eq, ctx), counts)
                for eq in equations]
-    cross = (report.cross_equation_checks(ha, tc)
+    cross = (report.cross_equation_checks(observed[Equation.HA], observed[Equation.TC])
              if Equation.HA in equations and Equation.TC in equations else ())
-    return reports, cross
+    claims = [c for rep in reports for c in rep.claims] + list(cross)
+    return reports, cross, [c.name for c in claims if not c.passed]
+
+
+def _persist(path: str, reports) -> int:
+    """Append every report's records to path; returns how many were written."""
+    stamp = datetime.now(timezone.utc).isoformat()
+    written = 0
+    for rep in reports:
+        records = report.records_from_report(rep, stamp)
+        report.append_records(path, records)
+        written += len(records)
+    return written
 
 
 def _cmd_compare(args) -> int:
     _require_prime(args.prime)
-    threads = args.threads or _default_threads()
-    equations = _equations(args.equation)
-    reports, cross = _compare_prime(args.prime, equations, threads)
+    reports, cross, failed = _compare_prime(args.prime, _equations(args.equation),
+                                            args.threads)
     for rep in reports:
         sys.stdout.buffer.write(report.render(rep, args.format, args.digits))
     if cross and args.format == "text":
-        lines = ["cross-equation claims:"]
-        for claim in cross:
-            status = "PASS" if claim.passed else f"FAIL ({claim.lhs} != {claim.rhs})"
-            lines.append(f"  {status}  {claim.name}")
-        sys.stdout.buffer.write(("\n".join(lines) + "\n").encode())
+        sys.stdout.buffer.write(report.claim_lines("cross-equation claims:", cross).encode())
     sys.stdout.buffer.flush()
     if args.out:
-        stamp = datetime.now(timezone.utc).isoformat()
-        for rep in reports:
-            report.append_records(args.out, report.records_from_report(rep, stamp))
-    failed = [c.name for rep in reports for c in rep.claims if not c.passed]
-    failed += [c.name for c in cross if not c.passed]
+        _persist(args.out, reports)
     if failed:
         print(f"exact-claim violation: {' '.join(failed)}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -185,21 +198,12 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.start < 2 or args.start >= CLI_PRIME_LIMIT:
         raise InvalidInputError(f"start must be in [2, 2^40), got {args.start}")
-    threads = args.threads or _default_threads()
-    equations = [Equation.FP, Equation.HA, Equation.TC]
     failures: list[str] = []
     for p in next_primes(args.start, args.count):
-        reports, cross = _compare_prime(p, equations, threads)
-        stamp = datetime.now(timezone.utc).isoformat()
-        written = 0
-        for rep in reports:
-            records = report.records_from_report(rep, stamp)
-            report.append_records(args.out, records)
-            written += len(records)
-        bad = [c.name for rep in reports for c in rep.claims if not c.passed]
-        bad += [c.name for c in cross if not c.passed]
-        failures += [f"p={p}:{name}" for name in bad]
-        status = "ok" if not bad else "CLAIMS-FAILED"
+        reports, _, failed = _compare_prime(p, list(Equation), args.threads)
+        written = _persist(args.out, reports)
+        failures += [f"p={p}:{name}" for name in failed]
+        status = "ok" if not failed else "CLAIMS-FAILED"
         print(f"p={p} records={written} claims={status}")
     if failures:
         print(f"exact-claim violation: {' '.join(failures)}", file=sys.stderr)
@@ -211,7 +215,6 @@ def _cmd_oracle_check(args) -> int:
     if args.max_prime < 2 or args.max_prime > oracle.ORACLE_PRIME_LIMIT:
         raise InvalidInputError(
             f"--max-prime must be in [2, {oracle.ORACLE_PRIME_LIMIT}], got {args.max_prime}")
-    threads = args.threads or _default_threads()
     primes = []
     candidate = 2
     while candidate <= args.max_prime:
@@ -219,7 +222,7 @@ def _cmd_oracle_check(args) -> int:
             primes.append(candidate)
         candidate += 1
     for p in primes:
-        fp, ha, tc = census.census_all(p, workers=threads)
+        fp, ha, tc = census.census_all(p, workers=args.threads)
         for name, fast, slow in (("fp", fp, oracle.oracle_fp(p)),
                                  ("ha", ha, oracle.oracle_ha(p)),
                                  ("tc", tc, oracle.oracle_tc(p))):
@@ -270,6 +273,8 @@ def dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if "threads" in vars(args):
+            args.threads = _threads(args.threads)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

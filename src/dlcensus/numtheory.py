@@ -192,11 +192,6 @@ def divisors_with_phi(f: Factored) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base^exponent mod modulus for exponent >= 0, modulus >= 2."""
-    return pow(base, exponent, modulus)
-
-
 def solve_linear_congruence(a: int, b: int, n: int) -> CongruenceSolution:
     """Describe all u in [0, n) with a*u = b (mod n).
 

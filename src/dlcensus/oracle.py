@@ -1,7 +1,7 @@
 """Naive brute-force counters used to validate the census on small primes.
 
 These deliberately share nothing with the index-table algorithms beyond
-mod_pow and the condition-class definitions: orders come from repeated
+the condition-class definitions: orders come from repeated
 multiplication, solutions from double loops over all pairs.  Quadratic in p,
 hence the hard prime limit.
 """
@@ -14,7 +14,7 @@ import numpy as np
 
 from .census import CountMatrix, Equation
 from .errors import InvalidInputError
-from .numtheory import is_prime, mod_pow
+from .numtheory import is_prime
 from .residue_tables import class_matrix, class_vector
 
 ORACLE_PRIME_LIMIT = 2000
@@ -48,30 +48,26 @@ def oracle_fp(p: int) -> CountMatrix:
     tally = np.zeros((4, 4), dtype=np.int64)
     for g in range(1, p):
         for h in range(1, p):
-            if mod_pow(g, h, p) == h:
+            if pow(g, h, p) == h:
                 tally[combo[g], combo[h]] += 1
-    total = class_matrix(tally)
     return CountMatrix(p=p, equation=Equation.FP,
                        trivial=np.zeros((4, 4), dtype=np.int64),
-                       nontrivial=total.copy(), total=total)
+                       nontrivial=class_matrix(tally))
 
 
 def oracle_ha(p: int) -> CountMatrix:
     """Count h^h = a^a (mod p) by comparing all (h, a) pairs; rows index a."""
     _check(p)
     combo = _combos(p)
-    self_power = [0] + [mod_pow(x, x, p) for x in range(1, p)]
+    self_power = [0] + [pow(x, x, p) for x in range(1, p)]
     trivial = np.zeros((4, 4), dtype=np.int64)
     nontrivial = np.zeros((4, 4), dtype=np.int64)
     for h in range(1, p):
         for a in range(1, p):
             if self_power[h] == self_power[a]:
                 (trivial if h == a else nontrivial)[combo[a], combo[h]] += 1
-    trivial = class_matrix(trivial)
-    nontrivial = class_matrix(nontrivial)
     return CountMatrix(p=p, equation=Equation.HA,
-                       trivial=trivial, nontrivial=nontrivial,
-                       total=trivial + nontrivial)
+                       trivial=class_matrix(trivial), nontrivial=class_matrix(nontrivial))
 
 
 def oracle_tc(p: int) -> CountMatrix:
@@ -86,8 +82,8 @@ def oracle_tc(p: int) -> CountMatrix:
     ord_nontrivial = np.zeros(4, dtype=np.int64)
     for g in range(1, p):
         for h in range(1, p):
-            a = mod_pow(g, h, p)
-            if mod_pow(g, a, p) != h:
+            a = pow(g, h, p)
+            if pow(g, a, p) != h:
                 continue
             if a == h:
                 trivial[combo[g], combo[h]] += 1
@@ -97,10 +93,7 @@ def oracle_tc(p: int) -> CountMatrix:
                 nontrivial[combo[g], combo[h]] += 1
                 if math.gcd(a, n) == 1:
                     ord_nontrivial[combo[h]] += 1
-    trivial = class_matrix(trivial)
-    nontrivial = class_matrix(nontrivial)
     return CountMatrix(p=p, equation=Equation.TC,
-                       trivial=trivial, nontrivial=nontrivial,
-                       total=trivial + nontrivial,
+                       trivial=class_matrix(trivial), nontrivial=class_matrix(nontrivial),
                        ord_trivial=class_vector(ord_trivial),
                        ord_nontrivial=class_vector(ord_nontrivial))

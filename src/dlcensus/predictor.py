@@ -95,7 +95,7 @@ def formula_value(formula: FormulaId, ctx: PrimeContext) -> Rational:
 _F = FormulaId
 # Grids are (row class x column class) in CLASSES order; fp rows index g and
 # predict totals, ha rows index a, tc rows index g, both predicting the
-# nontrivial part.
+# nontrivial part.  The fifth tc row is the ORD row.
 _GRIDS = {
     Equation.FP: (
         (_F.N, _F.PHI2_N, _F.EXACT_PHI, _F.PHI2_N),
@@ -114,16 +114,15 @@ _GRIDS = {
         (_F.PHI, _F.PHI2_N, _F.PHI2_N, _F.PHI3_N2),
         (_F.PHI, _F.PHI3_N2, _F.PHI2_N, _F.PHI4_N3),
         (_F.PHI2_N, _F.PHI3_N2, _F.PHI3_N2, _F.PHI4_N3),
+        (_F.PHI, _F.NONE, _F.PHI2_N, _F.NONE),
     ),
 }
-
-# Ord-row predictions (tc only), per h-class in CLASSES order.
-_ORD_ROW = (_F.PHI, _F.NONE, _F.PHI2_N, _F.NONE)
+_ROWS = (*CLASSES, ConditionClass.ORD)
 
 
 @dataclass(frozen=True)
 class PredictionMatrix:
-    """Exact predicted values mirroring one census matrix."""
+    """Exact predicted values mirroring one census matrix, row for row."""
 
     p: int
     n: int
@@ -131,23 +130,23 @@ class PredictionMatrix:
     equation: Equation
     formulas: tuple[tuple[FormulaId, ...], ...]
     values: tuple[tuple[Rational | None, ...], ...]
-    ord_formulas: tuple[FormulaId, ...] | None = None
-    ord_values: tuple[Rational | None, ...] | None = None
 
     @property
     def predicted_part(self) -> str:
         """Census part the grid predicts."""
         return "total" if self.equation is Equation.FP else "nontrivial"
 
-    def cell(self, row: ConditionClass, col: ConditionClass) -> tuple[FormulaId, Rational | None]:
-        i, j = CLASSES.index(row), CLASSES.index(col)
-        return self.formulas[i][j], self.values[i][j]
+    @property
+    def rows(self) -> tuple[ConditionClass, ...]:
+        """Row classes: CLASSES, then ORD for tc."""
+        return _ROWS[:len(self.formulas)]
 
-    def ord_cell(self, col: ConditionClass) -> tuple[FormulaId, Rational | None]:
-        if self.ord_formulas is None or self.ord_values is None:
-            raise InvalidInputError(f"{self.equation.value} predictions carry no ord row")
-        j = CLASSES.index(col)
-        return self.ord_formulas[j], self.ord_values[j]
+    def cell(self, row: ConditionClass, col: ConditionClass) -> tuple[FormulaId, Rational | None]:
+        """Formula and value of one cell; row ORD exists for tc only."""
+        i, j = _ROWS.index(row), CLASSES.index(col)
+        if i >= len(self.formulas):
+            raise InvalidInputError(f"{self.equation.value} predictions have no {row.value} row")
+        return self.formulas[i][j], self.values[i][j]
 
 
 def predict_matrix(equation: Equation, ctx: PrimeContext) -> PredictionMatrix:
@@ -157,12 +156,5 @@ def predict_matrix(equation: Equation, ctx: PrimeContext) -> PredictionMatrix:
         tuple(None if fid is FormulaId.NONE else formula_value(fid, ctx) for fid in row)
         for row in grid
     )
-    ord_formulas = ord_values = None
-    if equation is Equation.TC:
-        ord_formulas = _ORD_ROW
-        ord_values = tuple(
-            None if fid is FormulaId.NONE else formula_value(fid, ctx) for fid in _ORD_ROW
-        )
     return PredictionMatrix(p=ctx.p, n=ctx.n, phi=ctx.phi, equation=equation,
-                            formulas=grid, values=values,
-                            ord_formulas=ord_formulas, ord_values=ord_values)
+                            formulas=grid, values=values)

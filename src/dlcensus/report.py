@@ -1,6 +1,11 @@
 """Observed-versus-predicted comparison, exact-claim checks, rendering, and
 line-delimited persistence of results.
 
+Counts, predictions and comparisons all serialize as one stream of
+CellRecords over the matrix rows (ORD included for tc) and columns: a count
+is a cell without a prediction, a prediction a cell without an observation.
+One writer per format (text, csv, json) renders every stream.
+
 Exactness lives in the data (integer counts, Fraction predictions); decimal
 formatting happens only here, with a configurable number of fractional
 digits rounded half away from zero.
@@ -37,12 +42,12 @@ def format_fraction(value: Fraction, digits: int = 3) -> str:
 
 @dataclass(frozen=True)
 class CellRecord:
-    """One compared matrix cell."""
+    """One matrix cell: an observed count, a prediction, or both."""
 
     part: str
     row: ConditionClass
     col: ConditionClass
-    observed: int
+    observed: int | None
     formula: FormulaId | None
     predicted: Fraction | None
     ratio: float | None
@@ -114,34 +119,21 @@ def compare(observed: CountMatrix, predicted: PredictionMatrix,
 
     eq = observed.equation
     cells: list[CellRecord] = []
-    if eq is Equation.FP:
-        for row in CLASSES:
-            for col in CLASSES:
-                fid, value = predicted.cell(row, col)
+    for row in observed.rows:
+        for col in CLASSES:
+            fid, value = predicted.cell(row, col)
+            if eq is Equation.FP:
                 cells.append(_cell("total", row, col,
                                    observed.entry("total", row, col), fid, value))
-    else:
-        for row in CLASSES:
-            for col in CLASSES:
-                triv = observed.entry("trivial", row, col)
-                fid, value = predicted.cell(row, col)
-                exact_trivial = (counts.intersection(row, col) if eq is Equation.HA
-                                 else triv)
-                cells.append(_cell("trivial", row, col, triv, None, None))
-                cells.append(_cell("nontrivial", row, col,
-                                   observed.entry("nontrivial", row, col), fid, value))
-                cells.append(_cell("total", row, col, observed.entry("total", row, col),
-                                   fid, None if value is None else value + exact_trivial))
-    if eq is Equation.TC:
-        for col in CLASSES:
-            fid, value = predicted.ord_cell(col)
-            triv = observed.ord_entry("trivial", col)
-            cells.append(_cell("trivial", ConditionClass.ORD, col, triv, None, None))
-            cells.append(_cell("nontrivial", ConditionClass.ORD, col,
-                               observed.ord_entry("nontrivial", col), fid, value))
-            cells.append(_cell("total", ConditionClass.ORD, col,
-                               observed.ord_entry("total", col), fid,
-                               None if value is None else value + triv))
+                continue
+            triv = observed.entry("trivial", row, col)
+            exact_trivial = (counts.intersection(row, col) if eq is Equation.HA
+                             else triv)
+            cells.append(_cell("trivial", row, col, triv, None, None))
+            cells.append(_cell("nontrivial", row, col,
+                               observed.entry("nontrivial", row, col), fid, value))
+            cells.append(_cell("total", row, col, observed.entry("total", row, col),
+                               fid, None if value is None else value + exact_trivial))
 
     claims: list[ClaimCheck] = []
     ANY, PR, RP, RPPR = CLASSES
@@ -185,6 +177,7 @@ def cross_equation_checks(ha: CountMatrix, tc: CountMatrix) -> tuple[ClaimCheck,
     if ha.equation is not Equation.HA or tc.equation is not Equation.TC:
         raise InvalidInputError("cross checks need one ha census and one tc census")
     ANY, PR, RP, RPPR = CLASSES
+    ORD = ConditionClass.ORD
     ha_n = lambda r, c: ha.entry("nontrivial", r, c)
     tc_n = lambda r, c: tc.entry("nontrivial", r, c)
     rppr_value = tc_n(PR, RPPR)
@@ -200,19 +193,27 @@ def cross_equation_checks(ha: CountMatrix, tc: CountMatrix) -> tuple[ClaimCheck,
                 (rppr_value, ha_n(RP, RPPR))]
                + [(rppr_value, ha_n(RPPR, col)) for col in CLASSES],
                "every cell touching an RPPR variable agrees across tc and ha"),
-        _claim("t4_ord_any", [(tc.ord_entry("nontrivial", ANY), ha_n(RP, ANY))],
+        _claim("t4_ord_any", [(tc_n(ORD, ANY), ha_n(RP, ANY))],
                "tc ord row (h ANY) matches ha with a RP"),
-        _claim("t4_ord_rp", [(tc.ord_entry("nontrivial", RP), ha_n(RP, RP))],
+        _claim("t4_ord_rp", [(tc_n(ORD, RP), ha_n(RP, RP))],
                "tc ord row (h RP) matches ha with h RP, a RP"),
     )
 
 
 # --- rendering -------------------------------------------------------------
 
-def _text_table(title: str, row_var: str, rows: list[list[str]]) -> list[str]:
+def claim_lines(title: str, claims) -> str:
+    """A titled block with one PASS or FAIL line per claim."""
+    lines = [title]
+    for claim in claims:
+        status = "PASS" if claim.passed else f"FAIL ({claim.lhs} != {claim.rhs})"
+        lines.append(f"  {status}  {claim.name}")
+    return "\n".join(lines) + "\n"
+
+
+def _text_table(title: str, row_var: str, rows: dict[ConditionClass, list[str]]) -> list[str]:
     header = [f"{row_var} \\ h"] + [c.value for c in CLASSES]
-    labelled = [header] + [[lbl] + row for lbl, row in zip(
-        [c.value for c in CLASSES] + ["ORD"], rows)]
+    labelled = [header] + [[row.value] + cells for row, cells in rows.items()]
     widths = [max(len(r[i]) for r in labelled) for i in range(len(header))]
     lines = [title]
     for r in labelled:
@@ -221,39 +222,71 @@ def _text_table(title: str, row_var: str, rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def _cells_by_part(report: ComparisonReport) -> dict[str, dict]:
+def _cell_text(cell: CellRecord, field: str, digits: int) -> str:
+    value = getattr(cell, field)
+    if value is None:
+        return "-"
+    if field == "predicted":
+        return format_fraction(value, digits)
+    return f"{value:.4f}" if field == "ratio" else str(value)
+
+
+# Text tables, each (title, CellRecord field), of the three kinds of cell
+# stream; predicted and ratio tables print only for parts with a prediction.
+_COMPARISON_VIEWS = (("[{part}] observed", "observed"), ("[{part}] predicted", "predicted"),
+                     ("[{part}] observed/predicted", "ratio"))
+_COUNT_VIEWS = (("[{part}]", "observed"),)
+_PREDICTION_VIEWS = (("[predicted]", "predicted"),)
+
+
+def _write_text(header: str, row_var: str, cells, views, digits: int) -> str:
+    """Header, then one table per part and view with rows in stream order."""
     parts: dict[str, dict] = {}
-    for cell in report.cells:
+    for cell in cells:
         parts.setdefault(cell.part, {}).setdefault(cell.row, {})[cell.col] = cell
-    return parts
+    lines = [header]
+    for part, grid in parts.items():
+        predicted = any(c.predicted is not None
+                        for by_col in grid.values() for c in by_col.values())
+        for title, field in views:
+            if field != "observed" and not predicted:
+                continue
+            rows = {row: [_cell_text(by_col[col], field, digits) for col in CLASSES]
+                    for row, by_col in grid.items()}
+            lines += _text_table(title.format(part=part), row_var, rows)
+    return "\n".join(lines) + "\n"
 
 
-def _render_report_text(report: ComparisonReport, digits: int) -> str:
-    lines = [f"equation={report.equation.value} p={report.p} rows={report.row_var}"]
-    for part, grid in _cells_by_part(report).items():
-        matrix_rows = [r for r in (*CLASSES, ConditionClass.ORD) if r in grid]
-        obs, pred, ratio = [], [], []
-        for row in matrix_rows:
-            obs.append([str(grid[row][c].observed) for c in CLASSES])
-            pred.append([
-                format_fraction(grid[row][c].predicted, digits)
-                if grid[row][c].predicted is not None else "-" for c in CLASSES])
-            ratio.append([
-                f"{grid[row][c].ratio:.4f}" if grid[row][c].ratio is not None else "-"
-                for c in CLASSES])
-        lines += _text_table(f"[{part}] observed", report.row_var, obs)
-        if any(cell != "-" for row in pred for cell in row):
-            lines += _text_table(f"[{part}] predicted", report.row_var, pred)
-            lines += _text_table(f"[{part}] observed/predicted", report.row_var, ratio)
-    lines.append("claims:")
-    for claim in report.claims:
-        status = "PASS" if claim.passed else f"FAIL ({claim.lhs} != {claim.rhs})"
-        lines.append(f"  {status}  {claim.name}")
-    lines.append("")
-    return "\n".join(lines)
+def _write_csv(p: int, equation: Equation, cells) -> str:
+    lines = [_CSV_HEADER]
+    for cell in cells:
+        observed = "" if cell.observed is None else cell.observed
+        num, den = ("", "") if cell.predicted is None else (
+            cell.predicted.numerator, cell.predicted.denominator)
+        ratio = "" if cell.ratio is None else repr(cell.ratio)
+        lines.append(f"{p},{equation.value},{cell.row.value},{cell.col.value},"
+                     f"{cell.part},{observed},{num},{den},{ratio}")
+    return "\n".join(lines) + "\n"
 
 
-def _cell_json(cell: CellRecord) -> dict:
+def _nest(cells, leaf) -> tuple[dict, dict | None]:
+    """Leaves keyed part -> row -> col, and the ORD row's keyed part -> col."""
+    grid: dict = {}
+    ord_row: dict = {}
+    for cell in cells:
+        if cell.row is ConditionClass.ORD:
+            ord_row.setdefault(cell.part, {})[cell.col.value] = leaf(cell)
+        else:
+            grid.setdefault(cell.part, {}).setdefault(cell.row.value, {})[
+                cell.col.value] = leaf(cell)
+    return grid, ord_row or None
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+def _comparison_leaf(cell: CellRecord) -> dict:
     return {
         "observed": cell.observed,
         "formula": cell.formula.value if cell.formula is not None else None,
@@ -263,130 +296,65 @@ def _cell_json(cell: CellRecord) -> dict:
     }
 
 
-def _render_report_json(report: ComparisonReport) -> str:
-    parts: dict = {}
-    ord_row: dict = {}
-    for cell in report.cells:
-        target = ord_row if cell.row is ConditionClass.ORD else parts
-        sub = target.setdefault(cell.part, {})
-        if cell.row is ConditionClass.ORD:
-            sub[cell.col.value] = _cell_json(cell)
-        else:
-            sub.setdefault(cell.row.value, {})[cell.col.value] = _cell_json(cell)
-    payload = {
-        "p": report.p,
-        "equation": report.equation.value,
-        "row_var": report.row_var,
-        "parts": parts,
-        "ord_row": ord_row or None,
-        "claims": [{"name": c.name, "passed": c.passed, "lhs": c.lhs, "rhs": c.rhs,
-                    "description": c.description} for c in report.claims],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+def _prediction_leaf(cell: CellRecord) -> dict:
+    return {"formula": cell.formula.value,
+            "num": cell.predicted.numerator if cell.predicted is not None else None,
+            "den": cell.predicted.denominator if cell.predicted is not None else None}
 
 
-def _render_report_csv(report: ComparisonReport) -> str:
-    lines = [_CSV_HEADER]
-    for cell in report.cells:
-        pred_num = cell.predicted.numerator if cell.predicted is not None else ""
-        pred_den = cell.predicted.denominator if cell.predicted is not None else ""
-        ratio = repr(cell.ratio) if cell.ratio is not None else ""
-        lines.append(f"{report.p},{report.equation.value},{cell.row.value},"
-                     f"{cell.col.value},{cell.part},{cell.observed},"
-                     f"{pred_num},{pred_den},{ratio}")
-    return "\n".join(lines) + "\n"
+def _check_format(fmt: str) -> None:
+    if fmt not in ("text", "csv", "json"):
+        raise InvalidInputError(f"unknown format {fmt!r}")
 
 
 def render(report: ComparisonReport, fmt: str = "text", digits: int = 3) -> bytes:
     """Serialize a comparison report as text, csv, or json."""
+    _check_format(fmt)
     if fmt == "text":
-        return _render_report_text(report, digits).encode()
+        header = f"equation={report.equation.value} p={report.p} rows={report.row_var}"
+        return (_write_text(header, report.row_var, report.cells, _COMPARISON_VIEWS, digits)
+                + claim_lines("claims:", report.claims)).encode()
     if fmt == "csv":
-        return _render_report_csv(report).encode()
-    if fmt == "json":
-        return _render_report_json(report).encode()
-    raise InvalidInputError(f"unknown format {fmt!r}")
+        return _write_csv(report.p, report.equation, report.cells).encode()
+    parts, ord_row = _nest(report.cells, _comparison_leaf)
+    claims = [{"name": c.name, "passed": c.passed, "lhs": c.lhs, "rhs": c.rhs,
+               "description": c.description} for c in report.claims]
+    return _json({"p": report.p, "equation": report.equation.value,
+                  "row_var": report.row_var, "parts": parts, "ord_row": ord_row,
+                  "claims": claims}).encode()
 
 
 def render_counts(m: CountMatrix, fmt: str = "text") -> bytes:
     """Serialize a bare census matrix (no predictions)."""
-    if fmt == "json":
-        return (json.dumps(m.to_payload(), sort_keys=True,
-                           separators=(",", ": "), indent=1) + "\n").encode()
-    if fmt == "csv":
-        lines = [_CSV_HEADER]
-        for part in ("trivial", "nontrivial", "total"):
-            grid = m.part(part)
-            for i, row in enumerate(CLASSES):
-                for j, col in enumerate(CLASSES):
-                    lines.append(f"{m.p},{m.equation.value},{row.value},{col.value},"
-                                 f"{part},{int(grid[i, j])},,,")
-            if m.ord_trivial is not None:
-                for col in CLASSES:
-                    lines.append(f"{m.p},{m.equation.value},ORD,{col.value},{part},"
-                                 f"{m.ord_entry(part, col)},,,")
-        return ("\n".join(lines) + "\n").encode()
+    _check_format(fmt)
+    cells = [CellRecord(part, row, col, m.entry(part, row, col), None, None, None)
+             for part in ("trivial", "nontrivial", "total")
+             for row in m.rows for col in CLASSES]
     if fmt == "text":
-        lines = [f"equation={m.equation.value} p={m.p} rows={m.row_var}"]
-        for part in ("trivial", "nontrivial", "total"):
-            grid = m.part(part)
-            rows = [[str(int(grid[i, j])) for j in range(4)] for i in range(4)]
-            if m.ord_trivial is not None:
-                rows.append([str(m.ord_entry(part, col)) for col in CLASSES])
-            lines += _text_table(f"[{part}]", m.row_var, rows)
-        return ("\n".join(lines) + "\n").encode()
-    raise InvalidInputError(f"unknown format {fmt!r}")
+        header = f"equation={m.equation.value} p={m.p} rows={m.row_var}"
+        return _write_text(header, m.row_var, cells, _COUNT_VIEWS, 0).encode()
+    if fmt == "csv":
+        return _write_csv(m.p, m.equation, cells).encode()
+    parts, ord_row = _nest(cells, lambda cell: cell.observed)
+    return _json({"p": m.p, "equation": m.equation.value, "row_var": m.row_var,
+                  "parts": parts, "ord_row": ord_row}).encode()
 
 
 def render_predictions(pm: PredictionMatrix, fmt: str = "text", digits: int = 3) -> bytes:
     """Serialize a prediction matrix; the grid predicts pm.predicted_part."""
+    _check_format(fmt)
     part = pm.predicted_part
-    if fmt == "json":
-        grid = {row.value: {col.value: {
-                    "formula": pm.cell(row, col)[0].value,
-                    "num": v.numerator if (v := pm.cell(row, col)[1]) is not None else None,
-                    "den": v.denominator if v is not None else None}
-                for col in CLASSES} for row in CLASSES}
-        ord_row = None
-        if pm.ord_formulas is not None:
-            ord_row = {col.value: {
-                "formula": pm.ord_cell(col)[0].value,
-                "num": v.numerator if (v := pm.ord_cell(col)[1]) is not None else None,
-                "den": v.denominator if v is not None else None} for col in CLASSES}
-        payload = {"p": pm.p, "equation": pm.equation.value, "part": part,
-                   "grid": grid, "ord_row": ord_row}
-        return (json.dumps(payload, sort_keys=True,
-                           separators=(",", ": "), indent=1) + "\n").encode()
-    if fmt == "csv":
-        lines = [_CSV_HEADER]
-        for row in CLASSES:
-            for col in CLASSES:
-                _, v = pm.cell(row, col)
-                num = v.numerator if v is not None else ""
-                den = v.denominator if v is not None else ""
-                lines.append(f"{pm.p},{pm.equation.value},{row.value},{col.value},"
-                             f"{part},,{num},{den},")
-        if pm.ord_formulas is not None:
-            for col in CLASSES:
-                _, v = pm.ord_cell(col)
-                num = v.numerator if v is not None else ""
-                den = v.denominator if v is not None else ""
-                lines.append(f"{pm.p},{pm.equation.value},ORD,{col.value},{part},,"
-                             f"{num},{den},")
-        return ("\n".join(lines) + "\n").encode()
+    cells = [CellRecord(part, row, col, None, *pm.cell(row, col), None)
+             for row in pm.rows for col in CLASSES]
     if fmt == "text":
-        lines = [f"equation={pm.equation.value} p={pm.p} predicted part={part}"]
-        rows = []
-        for row in CLASSES:
-            rows.append([format_fraction(v, digits) if (v := pm.cell(row, col)[1])
-                         is not None else "-" for col in CLASSES])
-        if pm.ord_formulas is not None:
-            rows.append([format_fraction(v, digits) if (v := pm.ord_cell(col)[1])
-                         is not None else "-" for col in CLASSES])
-        lines += _text_table("[predicted]", "g" if pm.equation is not Equation.HA else "a",
-                             rows)
-        return ("\n".join(lines) + "\n").encode()
-    raise InvalidInputError(f"unknown format {fmt!r}")
+        header = f"equation={pm.equation.value} p={pm.p} predicted part={part}"
+        return _write_text(header, pm.equation.row_var, cells, _PREDICTION_VIEWS,
+                           digits).encode()
+    if fmt == "csv":
+        return _write_csv(pm.p, pm.equation, cells).encode()
+    grid, ord_row = _nest(cells, _prediction_leaf)
+    return _json({"p": pm.p, "equation": pm.equation.value, "part": part,
+                  "grid": grid[part], "ord_row": ord_row and ord_row[part]}).encode()
 
 
 # --- persistence ------------------------------------------------------------

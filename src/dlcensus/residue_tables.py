@@ -1,5 +1,5 @@
 """Per-prime lookup tables: powers of a primitive root, the inverse index
-(discrete log) table, per-residue multiplicative orders, and condition flags.
+(discrete log) table, and per-residue condition flags.
 
 Conventions used everywhere downstream: residues live in [1, p-1], indices in
 [0, n-1] with n = p - 1, and pow[0] = 1.  A residue x is PR when its
@@ -27,7 +27,7 @@ class ConditionClass(enum.Enum):
     PR = "PR"
     RP = "RP"
     RPPR = "RPPR"
-    ORD = "ORD"  # extra row of the two-cycle census, not a matrix axis
+    ORD = "ORD"  # fifth row of the two-cycle census, not a column class
 
 
 #: The four classes indexing every 4x4 census matrix, in axis order.
@@ -63,8 +63,9 @@ def class_vector(combo_vector: np.ndarray) -> np.ndarray:
 class ResidueTables:
     """Immutable lookup tables for one prime.
 
-    pow[k] = root^k mod p for k in [0, n-1]; ind is its inverse on [1, p-1];
-    ord[x] is the multiplicative order; combo[x] the PR/RP flag encoding.
+    pow[k] = root^k mod p for k in [0, n-1]; ind is its inverse on [1, p-1]
+    (so x has multiplicative order n / gcd(ind[x], n)); combo[x] is the
+    PR/RP flag encoding.
     Entry 0 of the residue-indexed arrays is padding.
     """
 
@@ -74,7 +75,6 @@ class ResidueTables:
     root: int
     pow: np.ndarray  # uint32, length n, index -> residue
     ind: np.ndarray  # uint32, length p, residue -> index
-    ord: np.ndarray  # uint32, length p, residue -> order
     combo: np.ndarray  # uint8, length p, residue -> combo code
 
     def is_pr(self, x: int) -> bool:
@@ -97,10 +97,6 @@ class ClassCounts:
     def intersection(self, a: ConditionClass, b: ConditionClass) -> int:
         shared = set(CLASS_COMBOS[a]) & set(CLASS_COMBOS[b])
         return int(sum(self.combo_counts[c] for c in shared))
-
-    def intersection_matrix(self) -> np.ndarray:
-        """4x4 class-indexed matrix of |X intersect Y| counts."""
-        return class_matrix(np.diag(self.combo_counts))
 
 
 def build_tables(p: int, max_prime: int = DEFAULT_PRIME_LIMIT) -> ResidueTables:
@@ -132,17 +128,15 @@ def build_tables(p: int, max_prime: int = DEFAULT_PRIME_LIMIT) -> ResidueTables:
     ind = np.zeros(p, dtype=np.uint32)
     ind[pow_table] = np.arange(n, dtype=np.uint32)
 
-    gcd_ind = np.gcd(ind.astype(np.int64), n)
-    order = (n // gcd_ind).astype(np.uint32)
-    pr = gcd_ind == 1
+    pr = np.gcd(ind.astype(np.int64), n) == 1
     rp = np.gcd(np.arange(p, dtype=np.int64), n) == 1
     combo = (pr.astype(np.uint8) + 2 * rp.astype(np.uint8))
     combo[0] = 0
 
-    for arr in (pow_table, ind, order, combo):
+    for arr in (pow_table, ind, combo):
         arr.setflags(write=False)
     return ResidueTables(p=p, n=n, factors=factors, root=root,
-                         pow=pow_table, ind=ind, ord=order, combo=combo)
+                         pow=pow_table, ind=ind, combo=combo)
 
 
 def classify(x: int, t: ResidueTables) -> set[ConditionClass]:

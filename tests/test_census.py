@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,11 +16,19 @@ from dlcensus.census import (
     count_tc,
 )
 from dlcensus.errors import InvalidInputError
-from dlcensus.numtheory import is_prime, mod_pow
+from dlcensus.numtheory import is_prime
 from dlcensus.oracle import oracle_fp, oracle_ha, oracle_tc
-from dlcensus.residue_tables import CLASSES, build_tables, class_counts
+from dlcensus.report import render_counts
+from dlcensus.residue_tables import (
+    CLASSES,
+    ConditionClass,
+    build_tables,
+    class_counts,
+    class_vector,
+)
 
 ANY, PR, RP, RPPR = CLASSES
+ORD = ConditionClass.ORD
 
 PRIMES_TO_100 = [p for p in range(2, 101) if is_prime(p)]
 
@@ -74,11 +83,15 @@ class TestHaBuckets:
 
     @pytest.mark.parametrize("p", [p for p in range(2, 32) if is_prime(p)])
     def test_key_characterizes_solutions(self, p):
-        b = build_ha_buckets(build_tables(p))
+        t = build_tables(p)
+        b = build_ha_buckets(t)
+        key = [x * int(t.ind[x]) % t.n for x in range(p)]
+        bucket = {int(x): i for i in range(b.num_buckets) for x in b.bucket_members(i)}
         for h in range(1, p):
             for a in range(1, p):
-                same_key = int(b.key[h]) == int(b.key[a])
-                assert same_key == (mod_pow(h, h, p) == mod_pow(a, a, p)), (h, a)
+                same_power = pow(h, h, p) == pow(a, a, p)
+                assert (key[h] == key[a]) == same_power, (h, a)
+                assert (bucket[h] == bucket[a]) == same_power, (h, a)
         assert int(b.sizes.sum()) == p - 1
 
     def test_per_bucket_class_counts(self):
@@ -86,7 +99,7 @@ class TestHaBuckets:
         b = build_ha_buckets(t)
         for i in range(b.num_buckets):
             members = [int(x) for x in b.bucket_members(i)]
-            vec = b.class_counts_for_bucket(i)
+            vec = class_vector(b.combo_counts[i])
             assert vec[0] == len(members)
             assert vec[1] == sum(t.is_pr(x) for x in members)
             assert vec[2] == sum(t.is_rp(x) for x in members)
@@ -130,7 +143,7 @@ class TestCompletions:
         for h in range(1, p):
             for a in range(1, p):
                 expected = [g for g in range(1, p)
-                            if mod_pow(g, h, p) == a and mod_pow(g, a, p) == h]
+                            if pow(g, h, p) == a and pow(g, a, p) == h]
                 assert completions(h, a, t) == expected, (p, h, a)
 
     def test_count_is_gcd_when_solvable(self):
@@ -172,10 +185,11 @@ class TestCountTc:
 
     def test_ord_row_present_only_for_tc(self):
         _, _, fp, ha, tc = census_for(13)
-        assert tc.ord_trivial is not None
-        assert fp.ord_trivial is None and ha.ord_trivial is None
-        with pytest.raises(InvalidInputError):
-            fp.ord_entry("total", ANY)
+        assert tc.rows == (*CLASSES, ORD)
+        assert fp.rows == CLASSES == ha.rows
+        for m in (fp, ha):
+            with pytest.raises(InvalidInputError):
+                m.entry("total", ORD, ANY)
 
 
 class TestOracleEquivalence:
@@ -219,7 +233,7 @@ class TestStructuralInvariants:
         assert tc.entry("nontrivial", PR, RP) == ha.entry("nontrivial", PR, RP)
         assert tc.entry("nontrivial", PR, PR) == ha.entry("nontrivial", RP, PR)
         for col in CLASSES:
-            assert tc.ord_entry("nontrivial", col) == ha.entry("nontrivial", RP, col)
+            assert tc.entry("nontrivial", ORD, col) == ha.entry("nontrivial", RP, col)
         rppr = tc.entry("nontrivial", PR, RPPR)
         for row in (ANY, PR, RP):
             assert ha.entry("nontrivial", row, RPPR) == rppr
@@ -248,10 +262,10 @@ class TestCensusAll:
 class TestCountMatrixPayload:
     def test_payload_round_structure(self):
         _, _, fp, _, tc = census_for(7)
-        payload = tc.to_payload()
+        payload = json.loads(render_counts(tc, "json"))
         assert payload["parts"]["nontrivial"]["ANY"]["ANY"] == 6
         assert payload["ord_row"]["trivial"]["ANY"] == 2
-        assert fp.to_payload()["ord_row"] is None
+        assert json.loads(render_counts(fp, "json"))["ord_row"] is None
 
     def test_entry_rejects_unknown_part(self):
         _, _, fp, _, _ = census_for(5)

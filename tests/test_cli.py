@@ -1,5 +1,6 @@
 import json
 
+from dlcensus import cli
 from dlcensus.cli import dispatch
 from dlcensus.report import read_records
 
@@ -33,6 +34,27 @@ class TestExitCodes:
         code, _, _ = run(capsys, "count", "--prime", "7", "--equation", "fp",
                          "--threads", "0")
         assert code == 1
+
+    def test_malformed_thread_variable_is_usage_error(self, capsys, monkeypatch):
+        for value in ("abc", "0", "-2", ""):
+            monkeypatch.setenv("DLCENSUS_THREADS", value)
+            code, out, err = run(capsys, "count", "--prime", "7", "--equation", "fp")
+            assert code == 1, value
+            assert "DLCENSUS_THREADS" in err and out == ""
+
+
+class TestThreads:
+    def test_resolution_and_clamp(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.delenv("DLCENSUS_THREADS", raising=False)
+        assert cli._threads(None) == 3
+        assert cli._threads(2) == 2
+        assert cli._threads(10**6) == 3
+        monkeypatch.setenv("DLCENSUS_THREADS", "2")
+        assert cli._threads(None) == 2
+        assert cli._threads(1) == 1  # --threads takes precedence
+        monkeypatch.setenv("DLCENSUS_THREADS", "500")
+        assert cli._threads(None) == 3
 
 
 class TestCount:

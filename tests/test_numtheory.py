@@ -11,7 +11,6 @@ from dlcensus.numtheory import (
     euler_phi,
     factorize,
     is_prime,
-    mod_pow,
     multiplicative_order,
     next_primes,
     prime_context,
@@ -153,21 +152,6 @@ class TestDivisors:
             assert [d for d, _ in pairs] == divisors(factorize(n))
             for d, ph in pairs:
                 assert ph == euler_phi(factorize(d))
-
-
-class TestModPow:
-    def test_reference_values(self):
-        assert mod_pow(2, 3, 5) == 3
-        assert mod_pow(6, 6, 7) == 1
-        assert mod_pow(11, 0, 13) == 1
-
-    def test_matches_repeated_multiplication(self):
-        for modulus in range(2, 101):
-            for base in range(modulus):
-                running = 1 % modulus
-                for exponent in range(201):
-                    assert mod_pow(base, exponent, modulus) == running
-                    running = running * base % modulus
 
 
 class TestSolveLinearCongruence:

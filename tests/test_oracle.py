@@ -2,9 +2,10 @@ import pytest
 
 from dlcensus.errors import InvalidInputError
 from dlcensus.oracle import ORACLE_PRIME_LIMIT, oracle_fp, oracle_ha, oracle_tc
-from dlcensus.residue_tables import CLASSES
+from dlcensus.residue_tables import CLASSES, ConditionClass
 
 ANY, PR, RP, RPPR = CLASSES
+ORD = ConditionClass.ORD
 
 
 class TestOracleFp:
@@ -47,8 +48,8 @@ class TestOracleTc:
     def test_ord_row(self):
         tc = oracle_tc(7)
         # trivial fp solutions with h coprime to 6: (1,1) and (3,5)
-        assert tc.ord_entry("trivial", ANY) == 2
-        assert tc.ord_entry("nontrivial", ANY) == 1  # only (6,6) via a=1
+        assert tc.entry("trivial", ORD, ANY) == 2
+        assert tc.entry("nontrivial", ORD, ANY) == 1  # only (6,6) via a=1
 
 
 class TestLimits:

@@ -13,9 +13,10 @@ from dlcensus.predictor import (
     ha_sum_form,
     predict_matrix,
 )
-from dlcensus.residue_tables import CLASSES
+from dlcensus.residue_tables import CLASSES, ConditionClass
 
 ANY, PR, RP, RPPR = CLASSES
+ORD = ConditionClass.ORD
 CTX = prime_context(100057)
 
 
@@ -121,10 +122,11 @@ class TestPredictMatrix:
         assert pm.cell(ANY, RP) == (FormulaId.PHI, Fraction(30240))
         assert pm.cell(ANY, PR)[0] is FormulaId.PHI2_N
         assert pm.cell(RP, RPPR)[0] is FormulaId.PHI4_N3
-        assert pm.ord_cell(ANY)[0] is FormulaId.PHI
-        assert pm.ord_cell(RP)[0] is FormulaId.PHI2_N
-        assert pm.ord_cell(PR) == (FormulaId.NONE, None)
-        assert pm.ord_cell(RPPR) == (FormulaId.NONE, None)
+        assert pm.rows == (*CLASSES, ORD)
+        assert pm.cell(ORD, ANY)[0] is FormulaId.PHI
+        assert pm.cell(ORD, RP)[0] is FormulaId.PHI2_N
+        assert pm.cell(ORD, PR) == (FormulaId.NONE, None)
+        assert pm.cell(ORD, RPPR) == (FormulaId.NONE, None)
 
     @pytest.mark.parametrize("p", [3, 7, 13, 61, 100057])
     def test_tc_row_scaling_identities(self, p):
@@ -137,6 +139,8 @@ class TestPredictMatrix:
             assert pm.cell(RPPR, col)[1] == scale * pm.cell(PR, col)[1]
 
     def test_ord_row_absent_outside_tc(self):
-        pm = predict_matrix(Equation.FP, CTX)
-        with pytest.raises(InvalidInputError):
-            pm.ord_cell(ANY)
+        for equation in (Equation.FP, Equation.HA):
+            pm = predict_matrix(equation, CTX)
+            assert pm.rows == CLASSES
+            with pytest.raises(InvalidInputError):
+                pm.cell(ORD, ANY)

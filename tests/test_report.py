@@ -137,23 +137,36 @@ class TestRender:
         assert "g \\ h" in text
         assert "PASS" in text
 
-    def test_csv_and_json_numeric_content_identical(self, p13):
-        rep = compare(p13["tc"], predict_matrix(Equation.TC, p13["ctx"]), p13["counts"])
-        rows = list(csv.DictReader(io.StringIO(render(rep, "csv").decode())))
-        parsed = json.loads(render(rep, "json").decode())
-        assert len(rows) == len(rep.cells)
+    @pytest.mark.parametrize("kind", ["comparison", "counts", "predictions"])
+    def test_csv_and_json_numeric_content_identical(self, p13, kind):
+        pm = predict_matrix(Equation.TC, p13["ctx"])
+        rep = compare(p13["tc"], pm, p13["counts"])
+        write, cells = {"comparison": (lambda fmt: render(rep, fmt), len(rep.cells)),
+                        "counts": (lambda fmt: render_counts(p13["tc"], fmt), 3 * 20),
+                        "predictions": (lambda fmt: render_predictions(pm, fmt), 20)}[kind]
+        rows = list(csv.DictReader(io.StringIO(write("csv").decode())))
+        parsed = json.loads(write("json").decode())
+        assert len(rows) == cells
         for row in rows:
-            section = (parsed["ord_row"] if row["row_class"] == "ORD"
-                       else parsed["parts"])
-            cell = (section[row["part"]][row["col_class"]] if row["row_class"] == "ORD"
-                    else section[row["part"]][row["row_class"]][row["col_class"]])
-            assert cell["observed"] == int(row["observed"])
+            is_ord = row["row_class"] == "ORD"
+            if kind == "predictions":
+                section = parsed["ord_row"] if is_ord else parsed["grid"]
+            else:
+                section = (parsed["ord_row"] if is_ord else parsed["parts"])[row["part"]]
+            cell = section[row["col_class"]] if is_ord else \
+                section[row["row_class"]][row["col_class"]]
+            if kind == "counts":
+                cell = {"observed": cell, "predicted_num": None}
+            elif kind == "predictions":
+                cell = {"observed": None, "predicted_num": cell["num"],
+                        "predicted_den": cell["den"], "ratio": None}
+            assert cell["observed"] == (int(row["observed"]) if row["observed"] else None)
             if row["predicted_num"] == "":
                 assert cell["predicted_num"] is None
             else:
                 assert cell["predicted_num"] == int(row["predicted_num"])
                 assert cell["predicted_den"] == int(row["predicted_den"])
-                assert cell["ratio"] == float(row["ratio"])
+                assert cell["ratio"] == (float(row["ratio"]) if row["ratio"] else None)
 
     def test_unknown_format_rejected(self, p13):
         rep = compare(p13["fp"], predict_matrix(Equation.FP, p13["ctx"]), p13["counts"])
