@@ -9,8 +9,16 @@ With w = ind(g), fp becomes the linear congruence h*w = ind(h) (mod n), so
 each h contributes gcd(h, n) candidate g values when solvable.  For ha,
 h^h = a^a iff key(h) = key(a) where key(x) = x*ind(x) mod n, so solutions are
 ordered pairs drawn from equal-key buckets.  A tc solution is a completion g
-of a bucket pair (h, a); the trivial part (a = h) is exactly the fp solution
-set.
+of a bucket pair (h, a), i.e. a common solution of h*w = ind(a) and
+a*w = ind(h) (mod n); the trivial part (a = h) is exactly the fp solution set.
+
+The fp and tc kernels take every modular inverse from the per-prime tables
+(ResidueTables.inv and div_index, about 6 B per residue retained) and, for
+the CRT lift of tc, from a tau(n) x tau(n) table over divisor pairs gathered
+from inv; solving a congruence or joining two costs gathers and integer
+arithmetic, with no inversion per residue or per pair.  The scalar
+completions() solves the same congruences without the tables and serves as
+their reference.
 
 All counters return a CountMatrix: rows are the condition classes of the row
 variable (g for fp/tc, a for ha), plus the ORD row for tc, and columns the
@@ -24,13 +32,14 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolation
-from .numtheory import divisors_with_phi, solve_linear_congruence
+from .numtheory import solve_linear_congruence
 from .residue_tables import (
     CLASSES,
     ResidueTables,
@@ -40,9 +49,10 @@ from .residue_tables import (
     ConditionClass,
 )
 
-# Pair-expansion budget per chunk; keeps transient arrays below ~200 MB even
-# for table-limit primes.
-_PAIR_CHUNK = 1 << 21
+# In-bucket pairs (tc) or residues (fp) per vectorized chunk.  A chunk's
+# transient arrays take roughly 250 B per element, about 33 MB per worker at
+# any p; larger chunks ran no faster at p ~ 10^6 and raised the peak.
+_CHUNK = 1 << 17
 
 
 class Equation(enum.Enum):
@@ -146,7 +156,7 @@ class HaBuckets:
     members: np.ndarray  # uint32, length n
     offsets: np.ndarray  # int64, length num_buckets + 1
     bucket_keys: np.ndarray  # uint32, one per bucket
-    combo_counts: np.ndarray  # int64, num_buckets x 4
+    combo_counts: np.ndarray  # uint16, num_buckets x 4
 
     @property
     def num_buckets(self) -> int:
@@ -160,88 +170,59 @@ class HaBuckets:
         return self.members[self.offsets[i]:self.offsets[i + 1]]
 
 
-def _split_ranges(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, hi - lo)) if hi > lo else 1
-    width = (hi - lo + parts - 1) // parts
-    return [(s, min(s + width, hi)) for s in range(lo, hi, width)] if hi > lo else []
+def usable_cpus() -> int:
+    """CPUs this process may run on: the cap on worker threads."""
+    if hasattr(os, "sched_getaffinity"):  # Linux-only
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _merge_partials(worker, ranges: list[tuple[int, int]], workers: int):
-    """Run worker over ranges and sum the tuple-of-array results elementwise."""
-    if workers <= 1 or len(ranges) <= 1:
-        parts = [worker(lo, hi) for lo, hi in ranges]
+def _merge_partials(worker, lo: int, hi: int, workers: int):
+    """Split [lo, hi) into one range per worker, at most one per usable CPU,
+    run worker on each and sum the tuple-of-array results elementwise."""
+    parts = max(1, min(workers, usable_cpus(), hi - lo))
+    width = max(1, (hi - lo + parts - 1) // parts)
+    ranges = [(s, min(s + width, hi)) for s in range(lo, hi, width)]
+    if len(ranges) <= 1:
+        results = [worker(a, b) for a, b in ranges]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r: worker(*r), ranges))
-    merged = [sum(group) for group in zip(*parts)]
-    return merged
+        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+            results = list(pool.map(lambda r: worker(*r), ranges))
+    return [sum(group) for group in zip(*results)]
 
 
-def _modpow_vec(base: np.ndarray, exponent: int, modulus: int) -> np.ndarray:
-    """base^exponent mod modulus, elementwise; modulus is a scalar < 2^31."""
-    result = np.ones_like(base)
-    base = base % modulus
-    while exponent > 0:
-        if exponent & 1:
-            result = result * base % modulus
-        base = base * base % modulus
-        exponent >>= 1
-    return result % modulus
-
-
-def _inverse_vec(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Elementwise inverse of a mod m (gcd(a, m) = 1, m >= 1) by extended
-    Euclid; all intermediates stay below 2^62 for m < 2^31."""
-    a = a % m
-    r0 = m.astype(np.int64, copy=True)
-    r1 = a.astype(np.int64, copy=True)
-    s0 = np.zeros_like(r0)
-    s1 = np.ones_like(r0)
-    while True:
-        active = r1 > 0
-        if not active.any():
-            break
-        q = r0[active] // r1[active]
-        r0[active], r1[active] = r1[active], r0[active] - q * r1[active]
-        s0[active], s1[active] = s1[active], s0[active] - q * s1[active]
-    return s0 % m
+def _progressions(base: np.ndarray, step: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Concatenation, over i, of base[i] + k * step[i] for 0 <= k < count[i]."""
+    first = np.cumsum(count) - count
+    k = np.arange(count.sum()) - np.repeat(first, count)
+    return np.repeat(base, count) + k * np.repeat(step, count)
 
 
 def count_fp(t: ResidueTables, workers: int = 1) -> CountMatrix:
     """Count ordered pairs (g, h) with g^h = h (mod p).
 
     For each h the congruence h*w = ind(h) (mod n) in w = ind(g) has
-    gcd(h, n) solutions when gcd(h, n) divides ind(h); enumeration therefore
-    costs sum_h gcd(h, n).  Residues are processed per divisor class of
-    gcd(h, n) in vectorized batches, partitioned over disjoint h-ranges.
+    d = gcd(h, n) solutions when d divides ind(h), namely
+    w = (ind(h)/d) * inv[h] (mod n/d); enumeration therefore costs
+    sum_h gcd(h, n).  Residues are processed in chunks of disjoint h-ranges.
     """
     n = t.n
-    ind = t.ind.astype(np.int64)
-    pow_table = t.pow.astype(np.int64)
-    combo = t.combo.astype(np.int64)
-    phi_by_divisor = dict(divisors_with_phi(t.factors))
+    g_combo = t.combo[t.pow]  # combo of g = pow[w], by index w
 
     def worker(lo: int, hi: int):
-        hs = np.arange(lo, hi, dtype=np.int64)
-        ih = ind[lo:hi]
-        g_of_h = np.gcd(hs, n)
         tally = np.zeros(16, dtype=np.int64)
-        for d in phi_by_divisor:
-            mask = (g_of_h == d) & (ih % d == 0)
-            if not mask.any():
-                continue
-            hd = hs[mask]
+        for start in range(lo, hi, _CHUNK):
+            span = slice(start, min(start + _CHUNK, hi))
+            ih = t.ind[span].astype(np.int64)
+            d = t.divisors[t.div_index[span]]
             step = n // d
-            inv = _modpow_vec((hd // d) % step, phi_by_divisor[step] - 1, step) \
-                if step > 1 else np.zeros(int(mask.sum()), dtype=np.int64)
-            w0 = (ih[mask] // d) * inv % step
-            ws = w0[:, None] + step * np.arange(d, dtype=np.int64)[None, :]
-            cg = combo[pow_table[ws]]
-            ch = np.broadcast_to(combo[hd][:, None], ws.shape)
-            tally += np.bincount((cg * 4 + ch).ravel(), minlength=16)
+            w0 = ih // d * t.inv[span] % step
+            count = np.where(ih % d == 0, d, 0)
+            keys = 4 * g_combo[_progressions(w0, step, count)] + np.repeat(t.combo[span], count)
+            tally += np.bincount(keys, minlength=16)
         return (tally,)
 
-    (tally,) = _merge_partials(worker, _split_ranges(1, t.p, workers), workers)
+    (tally,) = _merge_partials(worker, 1, t.p, workers)
     return _freeze(CountMatrix(p=t.p, equation=Equation.FP,
                                trivial=np.zeros((4, 4), dtype=np.int64),
                                nontrivial=class_matrix(tally.reshape(4, 4))))
@@ -258,9 +239,13 @@ def build_ha_buckets(t: ResidueTables) -> HaBuckets:
     offsets = np.concatenate([[0], cuts, [n]]).astype(np.int64)
     bucket_keys = sorted_keys[offsets[:-1]]
     bucket_id = np.repeat(np.arange(len(bucket_keys)), np.diff(offsets))
+    largest = int(np.diff(offsets).max())
+    if largest > np.iinfo(np.uint16).max:
+        raise InvalidInputError(
+            f"p={t.p} has a key bucket of {largest} residues; combo counts hold at most 65535")
     combo_counts = np.bincount(
         bucket_id * 4 + t.combo[members], minlength=4 * len(bucket_keys)
-    ).reshape(-1, 4).astype(np.int64)
+    ).reshape(-1, 4).astype(np.uint16)
     for arr in (members, offsets, bucket_keys, combo_counts):
         arr.setflags(write=False)
     return HaBuckets(p=t.p, n=n, members=members, offsets=offsets,
@@ -278,12 +263,15 @@ def count_ha(b: HaBuckets, t: ResidueTables, workers: int = 1) -> CountMatrix:
         raise InvalidInputError(f"buckets are for p={b.p}, tables for p={t.p}")
 
     def worker(lo: int, hi: int):
-        bc = b.combo_counts[lo:hi]
-        return (bc.T @ bc,)
+        total = np.zeros((4, 4), dtype=np.int64)
+        for start in range(lo, hi, _CHUNK):
+            # uint16 products would wrap
+            bc = b.combo_counts[start:min(start + _CHUNK, hi)].astype(np.int64)
+            total += bc.T @ bc
+        return (total,)
 
-    ranges = _split_ranges(0, b.num_buckets, workers)
-    (total_combo,) = _merge_partials(worker, ranges, workers)
-    trivial_combo = np.diag(b.combo_counts.sum(axis=0))
+    (total_combo,) = _merge_partials(worker, 0, b.num_buckets, workers)
+    trivial_combo = np.diag(b.combo_counts.sum(axis=0, dtype=np.int64))
     trivial = class_matrix(trivial_combo)
     return _freeze(CountMatrix(p=t.p, equation=Equation.HA, trivial=trivial,
                                nontrivial=class_matrix(total_combo) - trivial))
@@ -318,6 +306,21 @@ def completions(h: int, a: int, t: ResidueTables) -> list[int]:
     return sorted(int(t.pow[w]) for w in range(base, n, lcm_step))
 
 
+def divisor_pair_tables(t: ResidueTables):
+    """tau(n) x tau(n) tables over divisor pairs (d1, d2) = (divisors[i],
+    divisors[j]), with e = gcd(d1, d2): e itself (the completions of a
+    solvable tc pair), the lift modulus d1/e, the shared modulus
+    n/lcm(d1, d2), and lift = (d2/e)^-1 mod d1/e (0 when d1/e = 1).
+    """
+    divs = t.divisors
+    e = np.gcd.outer(divs, divs)
+    lift_mod = divs[:, None] // e
+    shared = (t.n // divs)[None, :] // lift_mod
+    # (n/m)*x with x a unit mod m = d1/e has gcd n/m with n, so inv inverts x mod m.
+    lift = t.inv[(t.n // lift_mod) * (divs[None, :] // e % lift_mod)]
+    return e, lift_mod, shared, lift
+
+
 def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) -> CountMatrix:
     """Count ordered pairs (g, h) with a = g^h mod p satisfying g^a = h.
 
@@ -325,16 +328,25 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
     found by completing the ordered pairs of each bucket; diagonal pairs
     (a = h) yield the trivial part, which must coincide with the fp census.
     The ord row tallies solutions with gcd(a, n) = 1 per h-class.
+
+    With d1 = gcd(h, n), d2 = gcd(a, n) and e = gcd(d1, d2), w = ind(g)
+    solves h*w = ind(a) (mod n) iff d1 | ind(a) and w = u1 (mod s1), with
+    u1 = (ind(a)/d1) * inv[h] and s1 = n/d1; likewise a*w = ind(h) gives u2
+    mod s2 = n/d2.  The progressions meet iff u1 = u2 mod n/lcm(d1, d2), and
+    then in e indices w = u1 + s1*k (mod n/e), k = (u2 - u1)/(n/lcm) *
+    lift[d1, d2] mod d1/e: gathers and integer arithmetic, no inversions.
     """
     if b.p != t.p:
         raise InvalidInputError(f"buckets are for p={b.p}, tables for p={t.p}")
     if fp.p != t.p or fp.equation is not Equation.FP:
         raise InvalidInputError("count_tc needs the fp census for the same prime")
     n = t.n
-    ind = t.ind.astype(np.int64)
-    pow_table = t.pow.astype(np.int64)
-    combo = t.combo.astype(np.int64)
-    members = b.members.astype(np.int64)
+    divs = t.divisors
+    cofactor = n // divs
+    tau = len(divs)
+    e, lift_mod, shared, lift = (arr.ravel() for arr in divisor_pair_tables(t))
+    e_step = n // e
+    g_combo = t.combo[t.pow]  # combo of g = pow[w], by index w
     offsets = b.offsets
     sizes = np.diff(offsets)
     pair_counts = sizes * sizes
@@ -345,79 +357,57 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
         sz = sizes[lo:hi]
         pc = pair_counts[lo:hi]
         total_pairs = int(pc.sum())
-        if total_pairs == 0:
-            return None
         t_idx = np.arange(total_pairs, dtype=np.int64) - np.repeat(
             np.concatenate([[0], np.cumsum(pc)])[:-1], pc)
         s_per = np.repeat(sz, pc)
         o_per = np.repeat(offsets[lo:hi], pc)
-        return members[o_per + t_idx // s_per], members[o_per + t_idx % s_per]
+        row = t_idx // s_per
+        return (b.members[o_per + row].astype(np.intp),
+                b.members[o_per + t_idx - row * s_per].astype(np.intp))
 
-    def tally_chunk(hh: np.ndarray, aa: np.ndarray, sums):
-        triv, nont, ord_triv, ord_nont = sums
-        d1 = np.gcd(hh, n)
-        d2 = np.gcd(aa, n)
-        ok = (ind[aa] % d1 == 0) & (ind[hh] % d2 == 0)
-        hh, aa, d1, d2 = hh[ok], aa[ok], d1[ok], d2[ok]
-        if hh.size == 0:
-            return
-        s1 = n // d1
-        s2 = n // d2
-        u1 = (ind[aa] // d1) * _inverse_vec(hh // d1, s1) % s1
-        u2 = (ind[hh] // d2) * _inverse_vec(aa // d2, s2) % s2
-        shared = np.gcd(s1, s2)
-        diff = u2 - u1
-        ok = diff % shared == 0
-        hh, aa, u1, s1 = hh[ok], aa[ok], u1[ok], s1[ok]
-        s2, shared, diff = s2[ok], shared[ok], diff[ok]
-        if hh.size == 0:
-            return
-        m2 = s2 // shared
-        lift = (diff // shared) % m2 * _inverse_vec(s1 // shared, m2) % m2
-        lcm_step = s1 * m2
-        base = (u1 + s1 * lift) % lcm_step
-        count = n // lcm_step  # == gcd(h, a, n)
-        diagonal = hh == aa
-        a_rp = (combo[aa] & 2) == 2
-        for c in np.unique(count):
-            sel = count == c
-            ws = base[sel][:, None] + lcm_step[sel][:, None] * np.arange(c, dtype=np.int64)
-            cg = combo[pow_table[ws]]
-            ch = np.broadcast_to(combo[hh[sel]][:, None], ws.shape)
-            diag = np.broadcast_to(diagonal[sel][:, None], ws.shape)
-            keys16 = cg * 4 + ch
-            triv += np.bincount(keys16[diag], minlength=16)
-            nont += np.bincount(keys16[~diag], minlength=16)
-            # each of the c completions of an a-RP pair is one ord-row solution
-            ch_flat = combo[hh[sel]][diagonal[sel] & a_rp[sel]]
-            ord_triv += np.bincount(ch_flat, minlength=4) * c
-            ch_flat = combo[hh[sel]][~diagonal[sel] & a_rp[sel]]
-            ord_nont += np.bincount(ch_flat, minlength=4) * c
+    def tally_chunk(hh: np.ndarray, aa: np.ndarray) -> np.ndarray:
+        """64 bins: (h = a) * 32 + (a RP) * 16 + combo(g) * 4 + combo(h)."""
+        i, j = t.div_index[hh], t.div_index[aa]
+        pair = i.astype(np.int64) * tau + j
+        d1, d2 = divs[i], divs[j]
+        ind_h = t.ind[hh].astype(np.int64)
+        ind_a = t.ind[aa].astype(np.int64)
+        q1, q2 = ind_a // d1, ind_h // d2
+        s1 = cofactor[i]
+        u1 = q1 * t.inv[hh] % s1
+        diff = q2 * t.inv[aa] % cofactor[j] - u1
+        step = shared[pair]
+        k = diff // step
+        solvable = (q1 * d1 == ind_a) & (q2 * d2 == ind_h) & (k * step == diff)
+        base = u1 + s1 * (k * lift[pair] % lift_mod[pair])
+        count = np.where(solvable, e[pair], 0)
+        pair_key = ((hh == aa) * np.uint8(32) + (t.combo[aa] & 2) * np.uint8(8)
+                    + t.combo[hh])
+        ws = _progressions(base, e_step[pair], count)
+        keys = np.repeat(pair_key, count) + 4 * g_combo[ws]
+        return np.bincount(keys, minlength=64)
 
     def worker(lo: int, hi: int):
-        sums = (np.zeros(16, dtype=np.int64), np.zeros(16, dtype=np.int64),
-                np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
+        tally = np.zeros(64, dtype=np.int64)
         start = lo
         while start < hi:
-            stop = int(np.searchsorted(pair_cum, pair_cum[start] + _PAIR_CHUNK, "right")) - 1
+            stop = int(np.searchsorted(pair_cum, pair_cum[start] + _CHUNK, "right")) - 1
             stop = min(max(stop, start + 1), hi)
-            pairs = expand_pairs(start, stop)
-            if pairs is not None:
-                tally_chunk(pairs[0], pairs[1], sums)
+            tally += tally_chunk(*expand_pairs(start, stop))
             start = stop
-        return sums
+        return (tally,)
 
-    ranges = _split_ranges(0, b.num_buckets, workers)
-    triv, nont, ord_triv, ord_nont = _merge_partials(worker, ranges, workers)
-    trivial = class_matrix(triv.reshape(4, 4))
-    nontrivial = class_matrix(nont.reshape(4, 4))
+    (tally,) = _merge_partials(worker, 0, b.num_buckets, workers)
+    by_part = tally.reshape(2, 2, 4, 4)  # (h = a, a RP, combo(g), combo(h))
+    trivial = class_matrix(by_part[1].sum(axis=0))
+    nontrivial = class_matrix(by_part[0].sum(axis=0))
     if not np.array_equal(trivial, fp.total):
         raise InvariantViolation(
             f"tc trivial part disagrees with the fp census at p={t.p}")
     return _freeze(CountMatrix(p=t.p, equation=Equation.TC,
                                trivial=trivial, nontrivial=nontrivial,
-                               ord_trivial=class_vector(ord_triv),
-                               ord_nontrivial=class_vector(ord_nont)))
+                               ord_trivial=class_vector(by_part[1, 1].sum(axis=0)),
+                               ord_nontrivial=class_vector(by_part[0, 1].sum(axis=0))))
 
 
 def census_all(p: int, workers: int = 1) -> tuple[CountMatrix, CountMatrix, CountMatrix]:

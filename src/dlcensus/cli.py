@@ -48,8 +48,7 @@ def _positive_int(text: str) -> int:
 def _threads(requested: int | None) -> int:
     """Worker count: --threads, else DLCENSUS_THREADS, else every CPU this
     process may run on; never more than those CPUs."""
-    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)  # the affinity call is Linux-only
+    usable = census.usable_cpus()
     env = os.environ.get(THREADS_ENV_VAR)
     if requested is None and env is not None:
         try:

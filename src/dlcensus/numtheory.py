@@ -165,6 +165,16 @@ def euler_phi(f: Factored) -> int:
     return value
 
 
+def carmichael(f: Factored) -> int:
+    """Exponent of the unit group mod f.n: the least lambda with x^lambda = 1
+    (mod n) for every unit x, hence also mod every divisor of n."""
+    value = 1
+    for q, alpha in f:
+        part = q ** (alpha - 1) * (q - 1) if q > 2 or alpha < 3 else 2 ** (alpha - 2)
+        value = value * part // math.gcd(value, part)
+    return value
+
+
 def divisors(f: Factored) -> list[int]:
     """All divisors of f.n, ascending."""
     ds = [1]

@@ -1,11 +1,17 @@
 """Per-prime lookup tables: powers of a primitive root, the inverse index
-(discrete log) table, and per-residue condition flags.
+(discrete log) table, per-residue condition flags, and the divisor and
+inverse tables the census kernels complete congruences with.
 
 Conventions used everywhere downstream: residues live in [1, p-1], indices in
 [0, n-1] with n = p - 1, and pow[0] = 1.  A residue x is PR when its
 multiplicative order is n (equivalently gcd(ind[x], n) = 1) and RP when
 gcd(x, n) = 1.  Tables are immutable after construction and safe to share
 between any number of readers.
+
+Every modulus the census meets is a divisor of n, so its modular inverses are
+tabulated once per prime: inv[x] inverts x/d modulo n/d where d = gcd(x, n),
+and div_index[x] names d.  Together they retain about 6 B per residue (uint32
+inv, uint16 div_index).
 """
 
 from __future__ import annotations
@@ -17,7 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolation
-from .numtheory import Factored, euler_phi, factorize, is_prime, smallest_primitive_root
+from .numtheory import (
+    Factored,
+    carmichael,
+    divisors,
+    euler_phi,
+    factorize,
+    is_prime,
+    smallest_primitive_root,
+)
 
 DEFAULT_PRIME_LIMIT = 1 << 31
 
@@ -65,8 +79,11 @@ class ResidueTables:
 
     pow[k] = root^k mod p for k in [0, n-1]; ind is its inverse on [1, p-1]
     (so x has multiplicative order n / gcd(ind[x], n)); combo[x] is the
-    PR/RP flag encoding.
-    Entry 0 of the residue-indexed arrays is padding.
+    PR/RP flag encoding.  Entry 0 of ind and combo is padding.
+
+    divisors lists the divisors of n ascending.  For x in [0, n], with
+    d = gcd(x, n) (so d = n at x = 0), div_index[x] is the position of d in
+    divisors and inv[x] = (x/d)^-1 mod n/d (0 when n/d = 1).
     """
 
     p: int
@@ -76,6 +93,9 @@ class ResidueTables:
     pow: np.ndarray  # uint32, length n, index -> residue
     ind: np.ndarray  # uint32, length p, residue -> index
     combo: np.ndarray  # uint8, length p, residue -> combo code
+    divisors: np.ndarray  # int64, length tau(n), ascending
+    div_index: np.ndarray  # uint16 (tau(n) <= 1600 for n < 2^31), length p
+    inv: np.ndarray  # uint32, length p
 
     def is_pr(self, x: int) -> bool:
         return bool(self.combo[x] & 1)
@@ -128,15 +148,43 @@ def build_tables(p: int, max_prime: int = DEFAULT_PRIME_LIMIT) -> ResidueTables:
     ind = np.zeros(p, dtype=np.uint32)
     ind[pow_table] = np.arange(n, dtype=np.uint32)
 
-    pr = np.gcd(ind.astype(np.int64), n) == 1
-    rp = np.gcd(np.arange(p, dtype=np.int64), n) == 1
+    # gcd(x, n) for x in [0, n] by sieving each prime power of n.
+    divs = np.array(divisors(factors), dtype=np.int64)
+    gcd_n = np.ones(p, dtype=np.int64)
+    for q, alpha in factors:
+        for beta in range(1, alpha + 1):
+            gcd_n[::q**beta] *= q
+    div_index = np.searchsorted(divs, gcd_n).astype(np.uint16)
+    inv = _inverse_table(gcd_n, carmichael(factors), n)
+
+    pr = div_index[ind] == 0
+    rp = div_index == 0
     combo = (pr.astype(np.uint8) + 2 * rp.astype(np.uint8))
     combo[0] = 0
 
-    for arr in (pow_table, ind, combo):
+    for arr in (pow_table, ind, combo, divs, div_index, inv):
         arr.setflags(write=False)
     return ResidueTables(p=p, n=n, factors=factors, root=root,
-                         pow=pow_table, ind=ind, combo=combo)
+                         pow=pow_table, ind=ind, combo=combo, divisors=divs,
+                         div_index=div_index, inv=inv)
+
+
+def _inverse_table(gcd_n: np.ndarray, lam: int, n: int) -> np.ndarray:
+    """(x/d)^-1 mod n/d for every x, where d = gcd_n[x] = gcd(x, n).
+
+    x/d is a unit mod n/d, and n/d divides n, so x/d raised to lam - 1 with
+    lam = carmichael(n) is its inverse; products stay below n^2 < 2^62.
+    """
+    modulus = n // gcd_n
+    base = np.arange(len(gcd_n), dtype=np.int64) // gcd_n % modulus
+    result = np.ones_like(base)
+    exponent = lam - 1
+    while exponent:
+        if exponent & 1:
+            result = result * base % modulus
+        base = base * base % modulus
+        exponent >>= 1
+    return (result % modulus).astype(np.uint32)
 
 
 def classify(x: int, t: ResidueTables) -> set[ConditionClass]:

@@ -1,9 +1,11 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from dlcensus import census
 from dlcensus.census import (
     CountMatrix,
     Equation,
@@ -103,6 +105,14 @@ class TestHaBuckets:
             assert vec[0] == len(members)
             assert vec[1] == sum(t.is_pr(x) for x in members)
             assert vec[2] == sum(t.is_rp(x) for x in members)
+
+    def test_rejects_bucket_beyond_uint16(self):
+        # every key x * 0 is 0, so all 70000 residues share one bucket
+        p = 70001
+        tables = SimpleNamespace(p=p, n=p - 1, ind=np.zeros(p, dtype=np.uint32),
+                                 combo=np.zeros(p, dtype=np.uint8))
+        with pytest.raises(InvalidInputError, match="65535"):
+            build_ha_buckets(tables)
 
 
 class TestCountHa:
@@ -246,6 +256,34 @@ class TestCensusAll:
         runs = {w: census_all(101, workers=w) for w in (1, 2, 5)}
         for eq_index in range(3):
             assert runs[1][eq_index] == runs[2][eq_index] == runs[5][eq_index]
+
+    def test_workers_clamped_to_usable_cpus(self, monkeypatch):
+        """Requested workers beyond the usable CPUs start no extra threads; a
+        serial stand-in pool records max_workers and starts no thread at all."""
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(census, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert census.usable_cpus() == 3
+        clamped = census_all(101, workers=10**6)
+        assert requested and max(requested) == 3
+        monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {0})
+        requested.clear()
+        assert census_all(101, workers=10**6) == census_all(101, workers=1) == clamped
+        assert requested == []
 
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInputError):

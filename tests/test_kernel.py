@@ -1,0 +1,104 @@
+"""Property tests for the per-prime inverse and divisor tables, the tc
+divisor-pair tables and the table-driven fp/tc kernels, against the scalar
+completion path."""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dlcensus.census import (
+    build_ha_buckets,
+    completion_sum,
+    completions,
+    count_fp,
+    count_tc,
+    divisor_pair_tables,
+)
+from dlcensus.numtheory import next_primes
+from dlcensus.residue_tables import CLASSES, build_tables, class_matrix, class_vector
+
+ANY = CLASSES[0]
+
+# Edge shapes of n = p - 1: n = 1 and 2, n a power of 2 (17, 257), and
+# safe primes (n = 2q with q prime: 1019, 2039).
+EDGE_PRIMES = (2, 3, 17, 257, 1019, 2039)
+
+small_primes = st.integers(10**3, 2 * 10**4).map(lambda k: next_primes(k, 1)[0])
+bounded = settings(max_examples=8, deadline=None, derandomize=True, database=None)
+
+
+def with_edge_examples(test):
+    for p in EDGE_PRIMES:
+        test = example(p)(test)
+    return test
+
+
+@bounded
+@given(small_primes)
+@with_edge_examples
+def test_inverse_table_inverts(p):
+    t = build_tables(p)
+    n = t.n
+    x = np.arange(p, dtype=np.int64)
+    d = np.gcd(x, n)  # gcd(0, n) = n
+    assert np.array_equal(t.divisors, sorted(t.divisors))
+    assert np.array_equal(t.divisors[t.div_index], d)
+    modulus = n // d
+    assert np.all(t.inv < np.maximum(modulus, 1))
+    assert np.array_equal((x // d) * t.inv.astype(np.int64) % modulus, 1 % modulus)
+
+
+@bounded
+@given(small_primes)
+@with_edge_examples
+def test_divisor_pair_tables(p):
+    t = build_tables(p)
+    n = t.n
+    divs = [int(d) for d in t.divisors]
+    e, lift_mod, shared, lift = divisor_pair_tables(t)
+    assert lift.shape == (len(divs), len(divs))
+    for i, d1 in enumerate(divs):
+        for j, d2 in enumerate(divs):
+            g = math.gcd(d1, d2)
+            modulus = d1 // g
+            assert (e[i, j], lift_mod[i, j]) == (g, modulus)
+            assert shared[i, j] == n // (d1 * d2 // g)
+            assert int(lift[i, j]) < max(modulus, 1)
+            assert (d2 // g) * int(lift[i, j]) % modulus == 1 % modulus
+
+
+def scalar_census(b, t):
+    """Combo-level fp and tc tallies from the scalar completions(), which
+    solves each congruence without the tables: fp (combo g, combo h), and tc
+    indexed (h = a, a RP, combo g, combo h)."""
+    fp = np.zeros((4, 4), dtype=np.int64)
+    tc = np.zeros((2, 2, 4, 4), dtype=np.int64)
+    for i in range(b.num_buckets):
+        group = [int(x) for x in b.bucket_members(i)]
+        for h in group:
+            for a in group:
+                for g in completions(h, a, t):
+                    tc[int(h == a), t.combo[a] >> 1, t.combo[g], t.combo[h]] += 1
+                    if h == a:
+                        fp[t.combo[g], t.combo[h]] += 1
+    return fp, tc
+
+
+@bounded
+@given(small_primes)
+@with_edge_examples
+def test_kernels_match_scalar_completions(p):
+    t = build_tables(p)
+    b = build_ha_buckets(t)
+    fp = count_fp(t)
+    tc = count_tc(b, t, fp)
+    total, _ = completion_sum(b, t)
+    assert tc.entry("nontrivial", ANY, ANY) == total
+    scalar_fp, scalar_tc = scalar_census(b, t)
+    assert np.array_equal(fp.total, class_matrix(scalar_fp))
+    assert np.array_equal(tc.trivial, class_matrix(scalar_tc[1].sum(axis=0)))
+    assert np.array_equal(tc.nontrivial, class_matrix(scalar_tc[0].sum(axis=0)))
+    assert np.array_equal(tc.ord_trivial, class_vector(scalar_tc[1, 1].sum(axis=0)))
+    assert np.array_equal(tc.ord_nontrivial, class_vector(scalar_tc[0, 1].sum(axis=0)))

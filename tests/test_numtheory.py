@@ -6,6 +6,7 @@ from dlcensus.errors import InvalidInputError
 from dlcensus.numtheory import (
     CongruenceSolution,
     Factored,
+    carmichael,
     divisors,
     divisors_with_phi,
     euler_phi,
@@ -130,6 +131,20 @@ class TestEulerPhi:
         sieve = phi_sieve(100000)
         for n in range(1, 100001):
             assert euler_phi(factorize(n)) == sieve[n], n
+
+
+class TestCarmichael:
+    def test_reference_values(self):
+        assert [carmichael(factorize(n)) for n in (1, 2, 4, 8, 16, 1000002)] == \
+            [1, 1, 2, 2, 4, 166666]
+
+    def test_is_least_universal_exponent(self):
+        for n in range(1, 400):
+            lam = carmichael(factorize(n))
+            units = [x for x in range(1, n + 1) if math.gcd(x, n) == 1]
+            assert all(pow(x, lam, n) == 1 % n for x in units), n
+            for q in factorize(lam).primes if lam > 1 else ():
+                assert any(pow(x, lam // q, n) != 1 for x in units), n
 
 
 class TestDivisors:
