@@ -33,6 +33,12 @@ def _cases() -> dict[str, list[str]]:
         for digits in ("0", "5"):
             cases[f"predict-p{p}-all-digits{digits}.text"] = [
                 "predict", "--prime", p, "--equation", "all", "--digits", digits]
+    # The tc kernel at the scale it is tuned for: many small buckets (n = 6q)
+    # on one thread, and large buckets (tau(n) = 252) split over two.
+    for p, threads in (("1000003", "1"), ("1108801", "2")):
+        cases[f"count-p{p}-all-threads{threads}.json"] = [
+            "count", "--prime", p, "--equation", "all", "--format", "json",
+            "--threads", threads]
     return cases
 
 
