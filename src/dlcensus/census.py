@@ -8,17 +8,21 @@ Counting works in the index (discrete log) domain instead of brute force.
 With w = ind(g), fp becomes the linear congruence h*w = ind(h) (mod n), so
 each h contributes gcd(h, n) candidate g values when solvable.  For ha,
 h^h = a^a iff key(h) = key(a) where key(x) = x*ind(x) mod n, so solutions are
-ordered pairs drawn from equal-key buckets.  A tc solution is a completion g
-of a bucket pair (h, a), i.e. a common solution of h*w = ind(a) and
+ordered pairs drawn from equal-key buckets; one sort of packed
+(key << 32) | x values groups them.  A tc solution is a completion g of a
+bucket pair (h, a), i.e. a common solution of h*w = ind(a) and
 a*w = ind(h) (mod n); the trivial part (a = h) is exactly the fp solution set.
+That system is symmetric in (h, a), so count_tc solves each unordered pair
+h <= a once and tallies its completions for both orders.
 
 The fp and tc kernels take every modular inverse from the per-prime tables
 (ResidueTables.inv and div_index, about 6 B per residue retained) and, for
 the CRT lift of tc, from a tau(n) x tau(n) table over divisor pairs gathered
 from inv; solving a congruence or joining two costs gathers and integer
-arithmetic, with no inversion per residue or per pair.  The scalar
-completions() solves the same congruences without the tables and serves as
-their reference.
+arithmetic, with no inversion per residue or per pair.  Before that
+arithmetic, count_tc drops the pairs a tau(n) x tau(n) divisibility table
+shows unsolvable.  The scalar completions() solves the same congruences
+without the tables and serves as their reference.
 
 All counters return a CountMatrix: rows are the condition classes of the row
 variable (g for fp/tc, a for ha), plus the ORD row for tc, and columns the
@@ -49,9 +53,11 @@ from .residue_tables import (
     ConditionClass,
 )
 
-# In-bucket pairs (tc) or residues (fp) per vectorized chunk.  A chunk's
-# transient arrays take roughly 250 B per element, about 33 MB per worker at
-# any p; larger chunks ran no faster at p ~ 10^6 and raised the peak.
+# In-bucket pairs h <= a (tc), residues (fp) or buckets (ha) per vectorized
+# chunk.  A chunk's transient arrays take about 75-115 B per pair in tc, 75 B
+# per residue in fp and 64 B per bucket in ha (tracemalloc at p = 1000003 and
+# 1108801), at most about 15 MB per worker at any p; 2^16-2^18 ran equally
+# fast at p ~ 10^6, and larger chunks raised the peak.
 _CHUNK = 1 << 17
 
 
@@ -229,23 +235,37 @@ def count_fp(t: ResidueTables, workers: int = 1) -> CountMatrix:
 
 
 def build_ha_buckets(t: ResidueTables) -> HaBuckets:
-    """Group residues by key(x) = x*ind(x) mod n in O(n log n)."""
+    """Group residues by key(x) = x*ind(x) mod n in O(n log n).
+
+    One in-place sort of the packed values (key << 32) | x orders residues by
+    key and, within a bucket, ascending.  Key and x each need 32 bits, so
+    this requires p < 2^32, which the table limit of 2^31 ensures.
+    """
     n = t.n
-    key = ((np.arange(1, t.p, dtype=np.int64) * t.ind[1:]) % n).astype(np.uint32)
-    order = np.argsort(key, kind="stable")
-    members = (order + 1).astype(np.uint32)
-    sorted_keys = key[order]
-    cuts = np.flatnonzero(np.diff(sorted_keys)) + 1
-    offsets = np.concatenate([[0], cuts, [n]]).astype(np.int64)
-    bucket_keys = sorted_keys[offsets[:-1]]
-    bucket_id = np.repeat(np.arange(len(bucket_keys)), np.diff(offsets))
+    packed = np.arange(1, t.p, dtype=np.uint64)
+    packed *= t.ind[1:]
+    packed %= n
+    packed <<= 32
+    packed |= np.arange(1, t.p, dtype=np.uint64)
+    packed.sort()
+    members = packed.astype(np.uint32)  # the low 32 bits
+    packed >>= 32  # now the sorted keys
+    starts = np.empty(n + 1, dtype=bool)  # a bucket starts at each key change
+    starts[0] = starts[n] = True
+    np.not_equal(packed[1:], packed[:-1], out=starts[1:n])
+    offsets = np.flatnonzero(starts)
+    bucket_keys = packed[offsets[:-1]].astype(np.uint32)
     largest = int(np.diff(offsets).max())
     if largest > np.iinfo(np.uint16).max:
         raise InvalidInputError(
             f"p={t.p} has a key bucket of {largest} residues; combo counts hold at most 65535")
-    combo_counts = np.bincount(
-        bucket_id * 4 + t.combo[members], minlength=4 * len(bucket_keys)
-    ).reshape(-1, 4).astype(np.uint16)
+    # Reuse the buffer for bucket id * 4 + combo of each member.
+    packed[0] = 0
+    np.cumsum(starts[1:n], dtype=np.uint64, out=packed[1:])
+    packed <<= 2
+    packed |= t.combo[members]
+    combo_counts = np.bincount(packed.view(np.int64), minlength=4 * len(bucket_keys)
+                               ).reshape(-1, 4).astype(np.uint16)
     for arr in (members, offsets, bucket_keys, combo_counts):
         arr.setflags(write=False)
     return HaBuckets(p=t.p, n=n, members=members, offsets=offsets,
@@ -321,20 +341,37 @@ def divisor_pair_tables(t: ResidueTables):
     return e, lift_mod, shared, lift
 
 
+def divisibility_table(t: ResidueTables) -> np.ndarray:
+    """tau(n) x tau(n) booleans: [i, k] tells whether divisors[i] divides
+    divisors[k].  A tc pair (h, a) can be solvable only when
+    [div_index[h], div_index[ind(a)]] and [div_index[a], div_index[ind(h)]]
+    both hold, since d | ind(a) iff d | gcd(ind(a), n) for a divisor d of n.
+    """
+    divs = t.divisors
+    return divs[None, :] % divs[:, None] == 0
+
+
 def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) -> CountMatrix:
     """Count ordered pairs (g, h) with a = g^h mod p satisfying g^a = h.
 
     Every solution's (h, a) pair shares a bucket key, so all solutions are
-    found by completing the ordered pairs of each bucket; diagonal pairs
-    (a = h) yield the trivial part, which must coincide with the fp census.
-    The ord row tallies solutions with gcd(a, n) = 1 per h-class.
+    found by completing the pairs of each bucket.  The system h*w = ind(a),
+    a*w = ind(h) (mod n) in w = ind(g) is symmetric in (h, a), so only the
+    unordered pairs h <= a are solved: a completion g of an off-diagonal pair
+    is tallied for (h, a) in column combo(h), and in the ORD row when a is
+    RP, and again for (a, h) in column combo(a), and in the ORD row when h is
+    RP.  Diagonal pairs (a = h), tallied once, yield the trivial part, which
+    must coincide with the fp census.
 
-    With d1 = gcd(h, n), d2 = gcd(a, n) and e = gcd(d1, d2), w = ind(g)
-    solves h*w = ind(a) (mod n) iff d1 | ind(a) and w = u1 (mod s1), with
+    With d1 = gcd(h, n), d2 = gcd(a, n) and e = gcd(d1, d2), w solves
+    h*w = ind(a) (mod n) iff d1 | ind(a) and w = u1 (mod s1), with
     u1 = (ind(a)/d1) * inv[h] and s1 = n/d1; likewise a*w = ind(h) gives u2
-    mod s2 = n/d2.  The progressions meet iff u1 = u2 mod n/lcm(d1, d2), and
-    then in e indices w = u1 + s1*k (mod n/e), k = (u2 - u1)/(n/lcm) *
-    lift[d1, d2] mod d1/e: gathers and integer arithmetic, no inversions.
+    mod s2 = n/d2.  Pairs failing either divisibility are dropped first, by a
+    tau(n) x tau(n) table lookup at (div_index[h], div_index[ind(a)]) and
+    (div_index[a], div_index[ind(h)]).  On the rest the progressions meet iff
+    u1 = u2 mod n/lcm(d1, d2), and then in e indices w = u1 + s1*k (mod n/e),
+    k = (u2 - u1)/(n/lcm) * lift[d1, d2] mod d1/e: gathers and integer
+    arithmetic, no inversions.
     """
     if b.p != t.p:
         raise InvalidInputError(f"buckets are for p={b.p}, tables for p={t.p}")
@@ -342,72 +379,76 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
         raise InvalidInputError("count_tc needs the fp census for the same prime")
     n = t.n
     divs = t.divisors
-    cofactor = n // divs
     tau = len(divs)
+    divides = divisibility_table(t).ravel()
     e, lift_mod, shared, lift = (arr.ravel() for arr in divisor_pair_tables(t))
     e_step = n // e
     g_combo = t.combo[t.pow]  # combo of g = pow[w], by index w
     offsets = b.offsets
     sizes = np.diff(offsets)
-    pair_counts = sizes * sizes
-    pair_cum = np.concatenate([[0], np.cumsum(pair_counts)])
+    pair_cum = np.concatenate([[0], np.cumsum(sizes * (sizes + 1) // 2)])
 
-    def expand_pairs(lo: int, hi: int):
-        """(h, a) arrays for all ordered in-bucket pairs of buckets [lo, hi)."""
-        sz = sizes[lo:hi]
-        pc = pair_counts[lo:hi]
-        total_pairs = int(pc.sum())
-        t_idx = np.arange(total_pairs, dtype=np.int64) - np.repeat(
-            np.concatenate([[0], np.cumsum(pc)])[:-1], pc)
-        s_per = np.repeat(sz, pc)
-        o_per = np.repeat(offsets[lo:hi], pc)
-        row = t_idx // s_per
-        return (b.members[o_per + row].astype(np.intp),
-                b.members[o_per + t_idx - row * s_per].astype(np.intp))
+    def tally_chunk(lo: int, hi: int) -> np.ndarray:
+        """128 bins over the pairs h <= a of buckets [lo, hi):
+        (h = a) * 64 + combo(a) * 16 + combo(h) * 4 + combo(g)."""
+        # Pairs are positions hp <= ap in this chunk's slice of members, so
+        # every per-residue gather is done once per member, not per pair.
+        mem = b.members[offsets[lo]:offsets[hi]].astype(np.intp)
+        pos = np.arange(len(mem))
+        partners = np.repeat(offsets[lo + 1:hi + 1] - offsets[lo], sizes[lo:hi]) - pos
+        hp = np.repeat(pos, partners)
+        ap = np.arange(len(hp)) - np.repeat(np.cumsum(partners) - partners - pos, partners)
+        m_div = t.div_index[mem].astype(np.intp)
+        m_row = m_div * tau
+        m_ind_div = t.div_index[t.ind[mem]]
+        keep = divides[m_row[hp] + m_ind_div[ap]] & divides[m_row[ap] + m_ind_div[hp]]
+        hp, ap = hp[keep], ap[keep]
 
-    def tally_chunk(hh: np.ndarray, aa: np.ndarray) -> np.ndarray:
-        """64 bins: (h = a) * 32 + (a RP) * 16 + combo(g) * 4 + combo(h)."""
-        i, j = t.div_index[hh], t.div_index[aa]
-        pair = i.astype(np.int64) * tau + j
-        d1, d2 = divs[i], divs[j]
-        ind_h = t.ind[hh].astype(np.int64)
-        ind_a = t.ind[aa].astype(np.int64)
-        q1, q2 = ind_a // d1, ind_h // d2
-        s1 = cofactor[i]
-        u1 = q1 * t.inv[hh] % s1
-        diff = q2 * t.inv[aa] % cofactor[j] - u1
+        m_d = divs[m_div]
+        m_cofactor = n // m_d
+        m_ind = t.ind[mem].astype(np.int64)
+        m_inv = t.inv[mem].astype(np.int64)
+        pair = m_row[hp] + m_div[ap]
+        s1 = m_cofactor[hp]
+        u1 = m_ind[ap] // m_d[hp] * m_inv[hp] % s1
+        diff = m_ind[hp] // m_d[ap] * m_inv[ap] % m_cofactor[ap] - u1
         step = shared[pair]
         k = diff // step
-        solvable = (q1 * d1 == ind_a) & (q2 * d2 == ind_h) & (k * step == diff)
+        count = np.where(k * step == diff, e[pair], 0)
         base = u1 + s1 * (k * lift[pair] % lift_mod[pair])
-        count = np.where(solvable, e[pair], 0)
-        pair_key = ((hh == aa) * np.uint8(32) + (t.combo[aa] & 2) * np.uint8(8)
-                    + t.combo[hh])
+        m_combo = t.combo[mem]
+        pair_key = ((hp == ap) * np.uint8(64) + m_combo[ap] * np.uint8(16)
+                    + m_combo[hp] * np.uint8(4))
         ws = _progressions(base, e_step[pair], count)
-        keys = np.repeat(pair_key, count) + 4 * g_combo[ws]
-        return np.bincount(keys, minlength=64)
+        return np.bincount(np.repeat(pair_key, count) + g_combo[ws], minlength=128)
 
     def worker(lo: int, hi: int):
-        tally = np.zeros(64, dtype=np.int64)
+        tally = np.zeros(128, dtype=np.int64)
         start = lo
         while start < hi:
             stop = int(np.searchsorted(pair_cum, pair_cum[start] + _CHUNK, "right")) - 1
             stop = min(max(stop, start + 1), hi)
-            tally += tally_chunk(*expand_pairs(start, stop))
+            tally += tally_chunk(start, stop)
             start = stop
         return (tally,)
 
     (tally,) = _merge_partials(worker, 0, b.num_buckets, workers)
-    by_part = tally.reshape(2, 2, 4, 4)  # (h = a, a RP, combo(g), combo(h))
-    trivial = class_matrix(by_part[1].sum(axis=0))
-    nontrivial = class_matrix(by_part[0].sum(axis=0))
+    by_pair = tally.reshape(2, 4, 4, 4)  # (h = a, combo(a), combo(h), combo(g))
+    rp = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])  # [RP flag, combo]
+    # Fold to [a RP, combo(g), combo(h)]; an off-diagonal pair also counts as
+    # (a, h), which swaps the roles of its two combo axes.
+    trivial_by_rp = np.einsum("rx,xhg->rgh", rp, by_pair[1])
+    nontrivial_by_rp = (np.einsum("rx,xhg->rgh", rp, by_pair[0])
+                        + np.einsum("rx,hxg->rgh", rp, by_pair[0]))
+    trivial = class_matrix(trivial_by_rp.sum(axis=0))
+    nontrivial = class_matrix(nontrivial_by_rp.sum(axis=0))
     if not np.array_equal(trivial, fp.total):
         raise InvariantViolation(
             f"tc trivial part disagrees with the fp census at p={t.p}")
     return _freeze(CountMatrix(p=t.p, equation=Equation.TC,
                                trivial=trivial, nontrivial=nontrivial,
-                               ord_trivial=class_vector(by_part[1, 1].sum(axis=0)),
-                               ord_nontrivial=class_vector(by_part[0, 1].sum(axis=0))))
+                               ord_trivial=class_vector(trivial_by_rp[1].sum(axis=0)),
+                               ord_nontrivial=class_vector(nontrivial_by_rp[1].sum(axis=0))))
 
 
 def census_all(p: int, workers: int = 1) -> tuple[CountMatrix, CountMatrix, CountMatrix]:

@@ -2,8 +2,9 @@
 
 Subcommands: count, predict, compare, sweep, oracle-check, identities.
 Exit codes: 0 success, 1 usage error, 2 invalid input (non-prime, out of
-range), 3 internal invariant or exact-claim violation.  All comparison
-output is deterministic; timestamps appear only in persisted records.
+range, too large for the available memory, unwritable --out file), 3 internal
+invariant or exact-claim violation.  All comparison output is deterministic;
+timestamps appear only in persisted records.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ from .residue_tables import build_tables, class_counts
 
 CLI_PRIME_LIMIT = 1 << 40
 THREADS_ENV_VAR = "DLCENSUS_THREADS"
+
+# Peak memory of a census, for the preflight check.  A child process running
+# `compare --prime 10000019 --threads 1` peaked at 628 MB (ru_maxrss; Linux,
+# numpy 2.4.6), 63 B per residue with the interpreter's 33 MB included, here
+# rounded up; a second worker added 20-32 MB at p = 1000003.
+BYTES_PER_RESIDUE = 64
+WORKER_ALLOWANCE = 32 << 20
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,6 +73,45 @@ def _require_prime(p: int) -> None:
         raise InvalidInputError(f"prime must be in [2, 2^40), got {p}")
     if not is_prime(p):
         raise InvalidInputError(f"not prime: {p}")
+
+
+def _available_memory() -> int | None:
+    """Bytes this process may still allocate: MemAvailable from /proc/meminfo,
+    capped by the cgroup v2 memory.max where that is readable; None when
+    neither is."""
+    limits = []
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            limits += [int(line.split()[1]) * 1024 for line in fh
+                       if line.startswith("MemAvailable:")]
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        with open("/proc/self/cgroup", encoding="ascii") as fh:
+            group = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        with open(f"/sys/fs/cgroup{group}/memory.max", encoding="ascii") as fh:
+            limit = fh.read().strip()
+        if limit != "max":
+            limits.append(int(limit))
+    except (OSError, StopIteration, ValueError):
+        pass
+    return min(limits, default=None)
+
+
+def _require_memory(p: int, threads: int) -> None:
+    """Refuse, before allocating, a census at p that would not fit in memory."""
+    needed = BYTES_PER_RESIDUE * p + WORKER_ALLOWANCE * threads
+    available = _available_memory()
+    if available is not None and needed > available:
+        raise InvalidInputError(
+            f"a census at p={p} needs about {needed >> 20} MiB, "
+            f"more than the {available >> 20} MiB available")
+
+
+def _require_writable(path: str) -> None:
+    """Fail on an unusable records file before any census work."""
+    with open(path, "a", encoding="utf-8"):
+        pass
 
 
 def _equations(name: str) -> list[Equation]:
@@ -133,6 +180,7 @@ def _census(p: int, wanted: list[Equation], threads: int):
 
 def _cmd_count(args) -> int:
     _require_prime(args.prime)
+    _require_memory(args.prime, args.threads)
     wanted = _equations(args.equation)
     _, matrices = _census(args.prime, wanted, args.threads)
     for eq in wanted:
@@ -179,6 +227,9 @@ def _persist(path: str, reports) -> int:
 
 def _cmd_compare(args) -> int:
     _require_prime(args.prime)
+    _require_memory(args.prime, args.threads)
+    if args.out:
+        _require_writable(args.out)
     reports, cross, failed = _compare_prime(args.prime, _equations(args.equation),
                                             args.threads)
     for rep in reports:
@@ -197,8 +248,11 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.start < 2 or args.start >= CLI_PRIME_LIMIT:
         raise InvalidInputError(f"start must be in [2, 2^40), got {args.start}")
+    primes = next_primes(args.start, args.count)
+    _require_memory(primes[-1], args.threads)
+    _require_writable(args.out)
     failures: list[str] = []
-    for p in next_primes(args.start, args.count):
+    for p in primes:
         reports, _, failed = _compare_prime(p, list(Equation), args.threads)
         written = _persist(args.out, reports)
         failures += [f"p={p}:{name}" for name in failed]
@@ -220,6 +274,7 @@ def _cmd_oracle_check(args) -> int:
         if is_prime(candidate):
             primes.append(candidate)
         candidate += 1
+    _require_memory(primes[-1], args.threads)
     for p in primes:
         fp, ha, tc = census.census_all(p, workers=args.threads)
         for name, fast, slow in (("fp", fp, oracle.oracle_fp(p)),
@@ -286,6 +341,10 @@ def dispatch(argv: list[str]) -> int:
         return EXIT_INVALID_INPUT
     except OSError as exc:
         print(f"error: i/o failure: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except InvariantViolation as exc:
         print(f"error: invariant violation: {exc}", file=sys.stderr)

@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from dlcensus import cli
 from dlcensus.cli import dispatch
+from dlcensus.errors import InvalidInputError
 from dlcensus.report import read_records
 
 
@@ -41,6 +44,77 @@ class TestExitCodes:
             code, out, err = run(capsys, "count", "--prime", "7", "--equation", "fp")
             assert code == 1, value
             assert "DLCENSUS_THREADS" in err and out == ""
+
+
+class TestFailFast:
+    """Errors the CLI can detect up front come before any census work, so
+    stdout stays empty."""
+
+    @staticmethod
+    def forbid_census(monkeypatch):
+        def census(p, *args, **kwargs):
+            raise AssertionError(f"census started at p={p}")
+        monkeypatch.setattr(cli, "build_tables", census)
+        monkeypatch.setattr(cli.census, "census_all", census)
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--prime", "1000003", "--equation", "all"],
+        ["compare", "--prime", "1000003"],
+        ["sweep", "--start", "1000000", "--count", "2", "--out", "{tmp}/x.jsonl"],
+        ["oracle-check", "--max-prime", "31"],
+    ])
+    def test_memory_preflight_refuses(self, capsys, monkeypatch, tmp_path, argv):
+        self.forbid_census(monkeypatch)
+        monkeypatch.setattr(cli, "_available_memory", lambda: 1 << 10)
+        code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+        assert code == 2
+        assert "MiB" in err and out == ""
+        assert not (tmp_path / "x.jsonl").exists()
+
+    def test_memory_preflight_uses_largest_prime(self, capsys, monkeypatch, tmp_path):
+        seen = []
+        monkeypatch.setattr(cli, "_require_memory", lambda p, threads: seen.append(p))
+        monkeypatch.setattr(cli, "_compare_prime", lambda p, eqs, threads: ([], (), []))
+        code, _, _ = run(capsys, "sweep", "--start", "1000", "--count", "3",
+                         "--out", str(tmp_path / "x.jsonl"))
+        assert code == 0
+        assert seen == [1019]  # once, for 1009, 1013 and 1019
+
+    def test_preflight_estimate(self, monkeypatch):
+        monkeypatch.setattr(cli, "_available_memory", lambda: None)
+        cli._require_memory(2**31 - 1, 2)  # no reading, no refusal
+        needed = cli.BYTES_PER_RESIDUE * 1000003 + cli.WORKER_ALLOWANCE
+        monkeypatch.setattr(cli, "_available_memory", lambda: needed)
+        cli._require_memory(1000003, 1)
+        monkeypatch.setattr(cli, "_available_memory", lambda: needed - 1)
+        with pytest.raises(InvalidInputError):
+            cli._require_memory(1000003, 1)
+
+    def test_available_memory_reading(self):
+        available = cli._available_memory()
+        assert available is None or available > 0
+
+    def test_memory_error_is_exit_2(self, capsys, monkeypatch):
+        def build_tables(p):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+        monkeypatch.setattr(cli, "build_tables", build_tables)
+        code, out, err = run(capsys, "count", "--prime", "1000003", "--equation", "fp")
+        assert code == 2
+        assert "out of memory" in err and out == ""
+
+    def test_compare_unwritable_out(self, capsys, monkeypatch, tmp_path):
+        self.forbid_census(monkeypatch)
+        code, out, err = run(capsys, "compare", "--prime", "13",
+                             "--out", str(tmp_path / "missing" / "r.jsonl"))
+        assert code == 2
+        assert "i/o failure" in err and out == ""
+
+    def test_sweep_unwritable_out(self, capsys, monkeypatch, tmp_path):
+        self.forbid_census(monkeypatch)
+        code, out, err = run(capsys, "sweep", "--start", "5", "--count", "2",
+                             "--out", str(tmp_path / "missing" / "r.jsonl"))
+        assert code == 2
+        assert "i/o failure" in err and out == ""
 
 
 class TestThreads:

@@ -1,6 +1,6 @@
-"""Property tests for the per-prime inverse and divisor tables, the tc
-divisor-pair tables and the table-driven fp/tc kernels, against the scalar
-completion path."""
+"""Property tests for the per-prime inverse and divisor tables, the ha
+buckets, the tc divisor-pair and divisibility tables and the table-driven
+fp/tc kernels, against the scalar completion path."""
 
 import math
 
@@ -14,6 +14,7 @@ from dlcensus.census import (
     completions,
     count_fp,
     count_tc,
+    divisibility_table,
     divisor_pair_tables,
 )
 from dlcensus.numtheory import next_primes
@@ -102,3 +103,66 @@ def test_kernels_match_scalar_completions(p):
     assert np.array_equal(tc.nontrivial, class_matrix(scalar_tc[0].sum(axis=0)))
     assert np.array_equal(tc.ord_trivial, class_vector(scalar_tc[1, 1].sum(axis=0)))
     assert np.array_equal(tc.ord_nontrivial, class_vector(scalar_tc[0, 1].sum(axis=0)))
+
+
+def in_bucket_pairs(b):
+    """Every in-bucket pair (h, a) with h < a."""
+    for i in range(b.num_buckets):
+        group = [int(x) for x in b.bucket_members(i)]
+        for k, h in enumerate(group):
+            for a in group[k + 1:]:
+                yield h, a
+
+
+@bounded
+@given(small_primes)
+@with_edge_examples
+def test_completions_symmetric_in_bucket(p):
+    t = build_tables(p)
+    for h, a in in_bucket_pairs(build_ha_buckets(t)):
+        assert completions(h, a, t) == completions(a, h, t), (h, a)
+
+
+@bounded
+@given(small_primes)
+@with_edge_examples
+def test_buckets_match_stable_argsort(p):
+    t = build_tables(p)
+    b = build_ha_buckets(t)
+    key = np.arange(1, p, dtype=np.int64) * t.ind[1:] % t.n
+    order = np.argsort(key, kind="stable")
+    sorted_keys = key[order]
+    offsets = np.concatenate([[0], np.flatnonzero(np.diff(sorted_keys)) + 1, [t.n]])
+    members = (order + 1).astype(np.uint32)
+    bucket_id = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    combo_counts = np.bincount(bucket_id * 4 + t.combo[members],
+                               minlength=4 * (len(offsets) - 1)).reshape(-1, 4)
+    expected = {"members": members,
+                "offsets": offsets.astype(np.int64),
+                "bucket_keys": sorted_keys[offsets[:-1]].astype(np.uint32),
+                "combo_counts": combo_counts.astype(np.uint16)}
+    for name, want in expected.items():
+        got = getattr(b, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+@bounded
+@given(small_primes)
+@with_edge_examples
+def test_prefilter_drops_only_unsolvable_pairs(p):
+    t = build_tables(p)
+    b = build_ha_buckets(t)
+    divides = divisibility_table(t)
+    divs = [int(d) for d in t.divisors]
+    assert divides.tolist() == [[k % i == 0 for k in divs] for i in divs]
+    ind_div = t.div_index[t.ind]
+    dropped = 0
+    for h, a in in_bucket_pairs(b):
+        if not (divides[t.div_index[h], ind_div[a]] and divides[t.div_index[a], ind_div[h]]):
+            dropped += 1
+            assert completions(h, a, t) == [], (h, a)
+    for h in range(1, p):
+        if not divides[t.div_index[h], ind_div[h]]:
+            assert completions(h, h, t) == [], h
+    assert p < 1000 or dropped > 0

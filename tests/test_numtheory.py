@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dlcensus.errors import InvalidInputError
 from dlcensus.numtheory import (
@@ -186,6 +188,22 @@ class TestSolveLinearCongruence:
                     if got.count > 0:
                         assert got.step * got.count == n
                         assert 0 <= got.base < got.step
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(1, 300))
+    @example(0, 0, 1)
+    @example(5, 3, 1)
+    @example(0, 0, 300)
+    @example(0, 7, 300)
+    @example(12, 0, 300)
+    @example(-7, 0, 256)
+    def test_random_matches_brute_force(self, a, b, n):
+        got = solve_linear_congruence(a, b, n)
+        assert got.values() == [u for u in range(n) if (a * u - b) % n == 0]
+        if got.count > 0:
+            assert got.count == math.gcd(a, n)
+            assert got.step * got.count == n
+            assert 0 <= got.base < got.step
 
     def test_rejects_nonpositive_modulus(self):
         with pytest.raises(InvalidInputError):
