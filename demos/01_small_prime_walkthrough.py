@@ -48,7 +48,7 @@ for h, a in [(2, 4), (1, 6), (3, 5)]:
     print(f"completions of (h={h}, a={a}):", completions(h, a, tables))
 print()
 
-fp, ha, tc = census_all(p)
+fp, ha, tc = census_all(tables).values()
 print("fixed-point counts (rows g, columns h, classes ANY/PR/RP/RPPR):")
 print(fp.total)
 print("eliminated-form nontrivial counts (rows a):")

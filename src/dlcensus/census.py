@@ -27,9 +27,10 @@ without the tables and serves as their reference.
 All counters return a CountMatrix: rows are the condition classes of the row
 variable (g for fp/tc, a for ha), plus the ORD row for tc, and columns the
 classes of h; entry(part, row, col) reads any cell, and the total part is
-derived as trivial + nontrivial.  Work may be partitioned over
-worker threads; partial tallies are plain integer matrices merged by
-addition, so results are identical for every worker count.
+derived as trivial + nontrivial.  Each counter splits its work into chunks
+(residues for fp, buckets for ha and tc) whose tallies are plain integer
+arrays, summed on up to `workers` threads, so results are identical for
+every worker count.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .numtheory import solve_linear_congruence
 from .residue_tables import (
     CLASSES,
     ResidueTables,
-    build_tables,
     class_matrix,
     class_vector,
     ConditionClass,
@@ -161,12 +161,11 @@ class HaBuckets:
     n: int
     members: np.ndarray  # uint32, length n
     offsets: np.ndarray  # int64, length num_buckets + 1
-    bucket_keys: np.ndarray  # uint32, one per bucket
     combo_counts: np.ndarray  # uint16, num_buckets x 4
 
     @property
     def num_buckets(self) -> int:
-        return len(self.bucket_keys)
+        return len(self.offsets) - 1
 
     @property
     def sizes(self) -> np.ndarray:
@@ -183,18 +182,16 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _merge_partials(worker, lo: int, hi: int, workers: int):
-    """Split [lo, hi) into one range per worker, at most one per usable CPU,
-    run worker on each and sum the tuple-of-array results elementwise."""
-    parts = max(1, min(workers, usable_cpus(), hi - lo))
-    width = max(1, (hi - lo + parts - 1) // parts)
-    ranges = [(s, min(s + width, hi)) for s in range(lo, hi, width)]
-    if len(ranges) <= 1:
-        results = [worker(a, b) for a, b in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            results = list(pool.map(lambda r: worker(*r), ranges))
-    return [sum(group) for group in zip(*results)]
+def _sum_chunks(tally_chunk, bounds: list[int], workers: int) -> np.ndarray:
+    """Sum tally_chunk(lo, hi) over the chunks [bounds[i], bounds[i + 1]),
+    serially or on at most one thread per worker, usable CPU and chunk; each
+    thread holds one chunk's transients at a time."""
+    chunks = list(zip(bounds[:-1], bounds[1:]))
+    threads = min(workers, usable_cpus(), len(chunks))
+    if threads <= 1:
+        return sum(tally_chunk(lo, hi) for lo, hi in chunks)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return sum(pool.map(lambda chunk: tally_chunk(*chunk), chunks))
 
 
 def _progressions(base: np.ndarray, step: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -210,25 +207,21 @@ def count_fp(t: ResidueTables, workers: int = 1) -> CountMatrix:
     For each h the congruence h*w = ind(h) (mod n) in w = ind(g) has
     d = gcd(h, n) solutions when d divides ind(h), namely
     w = (ind(h)/d) * inv[h] (mod n/d); enumeration therefore costs
-    sum_h gcd(h, n).  Residues are processed in chunks of disjoint h-ranges.
+    sum_h gcd(h, n).  Residues are processed in chunks of _CHUNK h values.
     """
     n = t.n
     g_combo = t.combo[t.pow]  # combo of g = pow[w], by index w
 
-    def worker(lo: int, hi: int):
-        tally = np.zeros(16, dtype=np.int64)
-        for start in range(lo, hi, _CHUNK):
-            span = slice(start, min(start + _CHUNK, hi))
-            ih = t.ind[span].astype(np.int64)
-            d = t.divisors[t.div_index[span]]
-            step = n // d
-            w0 = ih // d * t.inv[span] % step
-            count = np.where(ih % d == 0, d, 0)
-            keys = 4 * g_combo[_progressions(w0, step, count)] + np.repeat(t.combo[span], count)
-            tally += np.bincount(keys, minlength=16)
-        return (tally,)
+    def tally_chunk(lo: int, hi: int) -> np.ndarray:
+        ih = t.ind[lo:hi].astype(np.int64)
+        d = t.divisors[t.div_index[lo:hi]]
+        step = n // d
+        w0 = ih // d * t.inv[lo:hi] % step
+        count = np.where(ih % d == 0, d, 0)
+        keys = 4 * g_combo[_progressions(w0, step, count)] + np.repeat(t.combo[lo:hi], count)
+        return np.bincount(keys, minlength=16)
 
-    (tally,) = _merge_partials(worker, 1, t.p, workers)
+    tally = _sum_chunks(tally_chunk, [*range(1, t.p, _CHUNK), t.p], workers)
     return _freeze(CountMatrix(p=t.p, equation=Equation.FP,
                                trivial=np.zeros((4, 4), dtype=np.int64),
                                nontrivial=class_matrix(tally.reshape(4, 4))))
@@ -254,7 +247,6 @@ def build_ha_buckets(t: ResidueTables) -> HaBuckets:
     starts[0] = starts[n] = True
     np.not_equal(packed[1:], packed[:-1], out=starts[1:n])
     offsets = np.flatnonzero(starts)
-    bucket_keys = packed[offsets[:-1]].astype(np.uint32)
     largest = int(np.diff(offsets).max())
     if largest > np.iinfo(np.uint16).max:
         raise InvalidInputError(
@@ -264,12 +256,12 @@ def build_ha_buckets(t: ResidueTables) -> HaBuckets:
     np.cumsum(starts[1:n], dtype=np.uint64, out=packed[1:])
     packed <<= 2
     packed |= t.combo[members]
-    combo_counts = np.bincount(packed.view(np.int64), minlength=4 * len(bucket_keys)
+    combo_counts = np.bincount(packed.view(np.int64), minlength=4 * (len(offsets) - 1)
                                ).reshape(-1, 4).astype(np.uint16)
-    for arr in (members, offsets, bucket_keys, combo_counts):
+    for arr in (members, offsets, combo_counts):
         arr.setflags(write=False)
     return HaBuckets(p=t.p, n=n, members=members, offsets=offsets,
-                     bucket_keys=bucket_keys, combo_counts=combo_counts)
+                     combo_counts=combo_counts)
 
 
 def count_ha(b: HaBuckets, t: ResidueTables, workers: int = 1) -> CountMatrix:
@@ -282,15 +274,12 @@ def count_ha(b: HaBuckets, t: ResidueTables, workers: int = 1) -> CountMatrix:
     if b.p != t.p:
         raise InvalidInputError(f"buckets are for p={b.p}, tables for p={t.p}")
 
-    def worker(lo: int, hi: int):
-        total = np.zeros((4, 4), dtype=np.int64)
-        for start in range(lo, hi, _CHUNK):
-            # uint16 products would wrap
-            bc = b.combo_counts[start:min(start + _CHUNK, hi)].astype(np.int64)
-            total += bc.T @ bc
-        return (total,)
+    def tally_chunk(lo: int, hi: int) -> np.ndarray:
+        bc = b.combo_counts[lo:hi].astype(np.int64)  # uint16 products would wrap
+        return bc.T @ bc
 
-    (total_combo,) = _merge_partials(worker, 0, b.num_buckets, workers)
+    total_combo = _sum_chunks(tally_chunk, [*range(0, b.num_buckets, _CHUNK), b.num_buckets],
+                              workers)
     trivial_combo = np.diag(b.combo_counts.sum(axis=0, dtype=np.int64))
     trivial = class_matrix(trivial_combo)
     return _freeze(CountMatrix(p=t.p, equation=Equation.HA, trivial=trivial,
@@ -386,7 +375,13 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
     g_combo = t.combo[t.pow]  # combo of g = pow[w], by index w
     offsets = b.offsets
     sizes = np.diff(offsets)
+    # Chunks are runs of whole buckets holding at most _CHUNK pairs h <= a,
+    # or one bucket that alone holds more.
     pair_cum = np.concatenate([[0], np.cumsum(sizes * (sizes + 1) // 2)])
+    bounds = [0]
+    while bounds[-1] < b.num_buckets:
+        stop = int(np.searchsorted(pair_cum, pair_cum[bounds[-1]] + _CHUNK, "right")) - 1
+        bounds.append(max(stop, bounds[-1] + 1))
 
     def tally_chunk(lo: int, hi: int) -> np.ndarray:
         """128 bins over the pairs h <= a of buckets [lo, hi):
@@ -422,17 +417,7 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
         ws = _progressions(base, e_step[pair], count)
         return np.bincount(np.repeat(pair_key, count) + g_combo[ws], minlength=128)
 
-    def worker(lo: int, hi: int):
-        tally = np.zeros(128, dtype=np.int64)
-        start = lo
-        while start < hi:
-            stop = int(np.searchsorted(pair_cum, pair_cum[start] + _CHUNK, "right")) - 1
-            stop = min(max(stop, start + 1), hi)
-            tally += tally_chunk(start, stop)
-            start = stop
-        return (tally,)
-
-    (tally,) = _merge_partials(worker, 0, b.num_buckets, workers)
+    tally = _sum_chunks(tally_chunk, bounds, workers)
     by_pair = tally.reshape(2, 4, 4, 4)  # (h = a, combo(a), combo(h), combo(g))
     rp = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])  # [RP flag, combo]
     # Fold to [a RP, combo(g), combo(h)]; an off-diagonal pair also counts as
@@ -451,16 +436,22 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
                                ord_nontrivial=class_vector(nontrivial_by_rp[1].sum(axis=0))))
 
 
-def census_all(p: int, workers: int = 1) -> tuple[CountMatrix, CountMatrix, CountMatrix]:
-    """Run the full census for one prime; output is identical for any workers."""
+def census_all(t: ResidueTables, equations=tuple(Equation),
+               workers: int = 1) -> dict[Equation, CountMatrix]:
+    """Census matrices of the wanted equations at the tables' prime, running
+    only the counters those need (tc needs fp and the ha buckets); output is
+    identical for any workers."""
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
-    t = build_tables(p)
-    b = build_ha_buckets(t)
-    fp = count_fp(t, workers=workers)
-    ha = count_ha(b, t, workers=workers)
-    tc = count_tc(b, t, fp, workers=workers)
-    return fp, ha, tc
+    matrices = {}
+    if Equation.FP in equations or Equation.TC in equations:
+        matrices[Equation.FP] = count_fp(t, workers=workers)
+    if Equation.HA in equations or Equation.TC in equations:
+        b = build_ha_buckets(t)
+        matrices[Equation.HA] = count_ha(b, t, workers=workers)
+        if Equation.TC in equations:
+            matrices[Equation.TC] = count_tc(b, t, matrices[Equation.FP], workers=workers)
+    return {eq: matrices[eq] for eq in equations}
 
 
 def completion_sum(b: HaBuckets, t: ResidueTables) -> tuple[int, bool]:

@@ -53,6 +53,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _threads(requested: int | None) -> int:
     """Worker count: --threads, else DLCENSUS_THREADS, else every CPU this
     process may run on; never more than those CPUs."""
@@ -135,14 +142,14 @@ def _build_parser() -> _Parser:
     p_predict.add_argument("--prime", type=int, required=True)
     p_predict.add_argument("--equation", choices=eq_choices, default="all")
     p_predict.add_argument("--format", **fmt_kwargs)
-    p_predict.add_argument("--digits", type=int, default=3)
+    p_predict.add_argument("--digits", type=_non_negative_int, default=3)
 
     p_compare = sub.add_parser("compare", help="census vs predictions with exact claims")
     p_compare.add_argument("--prime", type=int, required=True)
     p_compare.add_argument("--equation", choices=eq_choices, default="all")
     p_compare.add_argument("--threads", type=_positive_int, default=None)
     p_compare.add_argument("--format", **fmt_kwargs)
-    p_compare.add_argument("--digits", type=int, default=3)
+    p_compare.add_argument("--digits", type=_non_negative_int, default=3)
     p_compare.add_argument("--out", default=None,
                            help="append result records to this JSONL file")
 
@@ -162,29 +169,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _census(p: int, wanted: list[Equation], threads: int):
-    """Tables for p and the census matrices of the wanted equations, running
-    only the counters those need (tc needs fp and the ha buckets)."""
-    tables = build_tables(p)
-    matrices = {}
-    if Equation.FP in wanted or Equation.TC in wanted:
-        matrices[Equation.FP] = census.count_fp(tables, workers=threads)
-    if Equation.HA in wanted or Equation.TC in wanted:
-        buckets = census.build_ha_buckets(tables)
-        matrices[Equation.HA] = census.count_ha(buckets, tables, workers=threads)
-        if Equation.TC in wanted:
-            matrices[Equation.TC] = census.count_tc(
-                buckets, tables, matrices[Equation.FP], workers=threads)
-    return tables, matrices
-
-
 def _cmd_count(args) -> int:
     _require_prime(args.prime)
     _require_memory(args.prime, args.threads)
-    wanted = _equations(args.equation)
-    _, matrices = _census(args.prime, wanted, args.threads)
-    for eq in wanted:
-        sys.stdout.buffer.write(report.render_counts(matrices[eq], args.format))
+    matrices = census.census_all(build_tables(args.prime), _equations(args.equation),
+                                 args.threads)
+    for m in matrices.values():
+        sys.stdout.buffer.write(report.render_counts(m, args.format))
     sys.stdout.buffer.flush()
     return EXIT_OK
 
@@ -204,7 +195,8 @@ def _compare_prime(p: int, equations: list[Equation], threads: int):
     the names of all failed claims.  All three censuses always run, so the
     tc-trivial = fp invariant is checked on every comparison."""
     ctx = prime_context(p)
-    tables, observed = _census(p, list(Equation), threads)
+    tables = build_tables(p)
+    observed = census.census_all(tables, workers=threads)
     counts = class_counts(tables)
     reports = [report.compare(observed[eq], predictor.predict_matrix(eq, ctx), counts)
                for eq in equations]
@@ -275,13 +267,12 @@ def _cmd_oracle_check(args) -> int:
             primes.append(candidate)
         candidate += 1
     _require_memory(primes[-1], args.threads)
+    brute_force = {Equation.FP: oracle.oracle_fp, Equation.HA: oracle.oracle_ha,
+                   Equation.TC: oracle.oracle_tc}
     for p in primes:
-        fp, ha, tc = census.census_all(p, workers=args.threads)
-        for name, fast, slow in (("fp", fp, oracle.oracle_fp(p)),
-                                 ("ha", ha, oracle.oracle_ha(p)),
-                                 ("tc", tc, oracle.oracle_tc(p))):
-            if fast != slow:
-                print(f"oracle mismatch: p={p} equation={name}", file=sys.stderr)
+        for eq, fast in census.census_all(build_tables(p), workers=args.threads).items():
+            if fast != brute_force[eq](p):
+                print(f"oracle mismatch: p={p} equation={eq.value}", file=sys.stderr)
                 return EXIT_INVARIANT
     print(f"oracle-check: census equals brute force for all {len(primes)} primes "
           f"<= {args.max_prime}")

@@ -403,6 +403,22 @@ def append_records(path, records: list[ResultRecord]) -> None:
             fh.write(record.to_json_line() + "\n")
 
 
+def _field_type_problem(raw: dict) -> str | None:
+    """What is wrong with the types of a record's values, or None."""
+    for name in ("p", "observed"):
+        if type(raw[name]) is not int:  # a JSON true or false is a bool, not an int
+            return f"{name} must be an int, got {raw[name]!r}"
+    for name in ("equation", "part", "row_class", "col_class", "timestamp"):
+        if not isinstance(raw[name], str):
+            return f"{name} must be a string, got {raw[name]!r}"
+    num, den = raw["predicted_num"], raw["predicted_den"]
+    if (num, den) != (None, None) and (type(num) is not int or type(den) is not int
+                                       or den <= 0):
+        return ("predicted_num/predicted_den must be both null or an int over a "
+                f"positive int, got {num!r}/{den!r}")
+    return None
+
+
 def read_records(path) -> list[ResultRecord]:
     """Read all records back, in order; malformed lines name their line number."""
     out: list[ResultRecord] = []
@@ -416,13 +432,13 @@ def read_records(path) -> list[ResultRecord]:
                 raise MalformedRecordError(f"line {lineno}: not valid JSON ({exc.msg})")
             if not isinstance(raw, dict):
                 raise MalformedRecordError(f"line {lineno}: record is not an object")
-            if raw.get("schema_version") != SCHEMA_VERSION:
-                raise MalformedRecordError(
-                    f"line {lineno}: unsupported schema_version {raw.get('schema_version')!r}")
+            version = raw.get("schema_version")
+            if type(version) is not int or version != SCHEMA_VERSION:  # true == 1 in Python
+                raise MalformedRecordError(f"line {lineno}: unsupported schema_version {version!r}")
             if set(raw) != set(_RECORD_FIELDS):
                 raise MalformedRecordError(f"line {lineno}: unexpected record fields")
-            try:
-                out.append(ResultRecord(**raw))
-            except TypeError as exc:
-                raise MalformedRecordError(f"line {lineno}: {exc}")
+            problem = _field_type_problem(raw)
+            if problem:
+                raise MalformedRecordError(f"line {lineno}: {problem}")
+            out.append(ResultRecord(**raw))
     return out

@@ -119,10 +119,10 @@ class ClassCounts:
         return int(sum(self.combo_counts[c] for c in shared))
 
 
-def build_tables(p: int, max_prime: int = DEFAULT_PRIME_LIMIT) -> ResidueTables:
+def build_tables(p: int) -> ResidueTables:
     """Build all tables for prime p in O(p) time and O(p) 32-bit memory."""
-    if p > max_prime:
-        raise InvalidInputError(f"prime {p} above the table limit {max_prime}")
+    if p > DEFAULT_PRIME_LIMIT:
+        raise InvalidInputError(f"prime {p} above the table limit {DEFAULT_PRIME_LIMIT}")
     if not is_prime(p):
         raise InvalidInputError(f"not prime: {p}")
     n = p - 1

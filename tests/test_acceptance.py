@@ -76,7 +76,8 @@ def reference_runs():
     timings = {}
     for workers in (1, 2, 8):
         start = time.perf_counter()
-        runs[workers] = census_all(REFERENCE_PRIME, workers=workers)
+        runs[workers] = tuple(census_all(build_tables(REFERENCE_PRIME),
+                                         workers=workers).values())
         timings[workers] = time.perf_counter() - start
     return {"runs": runs, "timings": timings}
 
@@ -142,7 +143,7 @@ def test_criterion_5_oracle_equivalence(capsys):
     start = time.perf_counter()
     mismatches = []
     for p in SMALL_PRIMES:
-        fp, ha, tc = census_all(p, workers=1)
+        fp, ha, tc = census_all(build_tables(p), workers=1).values()
         if fp != oracle_fp(p):
             mismatches.append((p, "fp"))
         if ha != oracle_ha(p):

@@ -252,14 +252,17 @@ class TestStructuralInvariants:
 
 
 class TestCensusAll:
-    def test_worker_counts_agree(self):
-        runs = {w: census_all(101, workers=w) for w in (1, 2, 5)}
-        for eq_index in range(3):
-            assert runs[1][eq_index] == runs[2][eq_index] == runs[5][eq_index]
+    def test_worker_counts_agree(self, monkeypatch):
+        monkeypatch.setattr(census, "_CHUNK", 4)  # several chunks, so threads start
+        t = build_tables(101)
+        runs = {w: census_all(t, workers=w) for w in (1, 2, 5)}
+        for eq in Equation:
+            assert runs[1][eq] == runs[2][eq] == runs[5][eq]
 
     def test_workers_clamped_to_usable_cpus(self, monkeypatch):
         """Requested workers beyond the usable CPUs start no extra threads; a
         serial stand-in pool records max_workers and starts no thread at all."""
+        monkeypatch.setattr(census, "_CHUNK", 4)  # at p=101 one chunk would start no pool
         requested = []
 
         class SerialPool:
@@ -278,21 +281,42 @@ class TestCensusAll:
         monkeypatch.setattr(census, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert census.usable_cpus() == 3
-        clamped = census_all(101, workers=10**6)
+        t = build_tables(101)
+        clamped = census_all(t, workers=10**6)
         assert requested and max(requested) == 3
         monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {0})
         requested.clear()
-        assert census_all(101, workers=10**6) == census_all(101, workers=1) == clamped
+        assert census_all(t, workers=10**6) == census_all(t, workers=1) == clamped
         assert requested == []
 
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInputError):
-            census_all(10)
+            census_all(build_tables(10))
         with pytest.raises(InvalidInputError):
-            census_all(7, workers=0)
+            census_all(build_tables(7), workers=0)
+
+    @pytest.mark.parametrize("wanted, counters", [
+        ((Equation.FP,), {"count_fp"}),
+        ((Equation.HA,), {"build_ha_buckets", "count_ha"}),
+        ((Equation.TC,), {"count_fp", "build_ha_buckets", "count_ha", "count_tc"}),
+        ((Equation.TC, Equation.FP), {"count_fp", "build_ha_buckets", "count_ha", "count_tc"}),
+    ])
+    def test_runs_only_needed_counters(self, monkeypatch, wanted, counters):
+        t = build_tables(13)
+        full = census_all(t)
+        ran = set()
+        for name in ("count_fp", "build_ha_buckets", "count_ha", "count_tc"):
+            def traced(*args, _name=name, _fn=getattr(census, name), **kwargs):
+                ran.add(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(census, name, traced)
+        matrices = census_all(t, wanted)
+        assert ran == counters
+        assert list(matrices) == list(wanted)
+        assert all(matrices[eq] == full[eq] for eq in wanted)
 
     def test_equations_labelled(self):
-        fp, ha, tc = census_all(5)
+        fp, ha, tc = census_all(build_tables(5)).values()
         assert (fp.equation, ha.equation, tc.equation) == (Equation.FP, Equation.HA, Equation.TC)
         assert (fp.row_var, ha.row_var, tc.row_var) == ("g", "a", "g")
 

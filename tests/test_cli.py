@@ -52,10 +52,11 @@ class TestFailFast:
 
     @staticmethod
     def forbid_census(monkeypatch):
-        def census(p, *args, **kwargs):
-            raise AssertionError(f"census started at p={p}")
+        def census(*args, **kwargs):
+            raise AssertionError("census started")
         monkeypatch.setattr(cli, "build_tables", census)
         monkeypatch.setattr(cli.census, "census_all", census)
+        monkeypatch.setattr(cli, "prime_context", census)
 
     @pytest.mark.parametrize("argv", [
         ["count", "--prime", "1000003", "--equation", "all"],
@@ -108,6 +109,15 @@ class TestFailFast:
                              "--out", str(tmp_path / "missing" / "r.jsonl"))
         assert code == 2
         assert "i/o failure" in err and out == ""
+
+    @pytest.mark.parametrize("command", ["compare", "predict"])
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_negative_digits_is_usage_error(self, capsys, monkeypatch, command, fmt):
+        self.forbid_census(monkeypatch)
+        code, out, err = run(capsys, command, "--prime", "13", "--digits", "-1",
+                             "--format", fmt)
+        assert code == 1
+        assert "--digits" in err and out == ""
 
     def test_sweep_unwritable_out(self, capsys, monkeypatch, tmp_path):
         self.forbid_census(monkeypatch)

@@ -8,11 +8,13 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dlcensus import census
 from dlcensus.census import (
     build_ha_buckets,
     completion_sum,
     completions,
     count_fp,
+    count_ha,
     count_tc,
     divisibility_table,
     divisor_pair_tables,
@@ -139,7 +141,6 @@ def test_buckets_match_stable_argsort(p):
                                minlength=4 * (len(offsets) - 1)).reshape(-1, 4)
     expected = {"members": members,
                 "offsets": offsets.astype(np.int64),
-                "bucket_keys": sorted_keys[offsets[:-1]].astype(np.uint32),
                 "combo_counts": combo_counts.astype(np.uint16)}
     for name, want in expected.items():
         got = getattr(b, name)
@@ -166,3 +167,27 @@ def test_prefilter_drops_only_unsolvable_pairs(p):
         if not divides[t.div_index[h], ind_div[h]]:
             assert completions(h, h, t) == [], h
     assert p < 1000 or dropped > 0
+
+
+@bounded
+@given(st.integers(10**2, 5 * 10**3).map(lambda k: next_primes(k, 1)[0]))
+@with_edge_examples
+def test_chunking_keeps_counts(p):
+    """At the default chunk size every counter below p ~ 1.3e5 runs as one
+    chunk; chunks of 1 and 7 exercise the chunk bounds, and tc's fallback to
+    one bucket per chunk when a bucket holds more pairs than a chunk."""
+    t = build_tables(p)
+    b = build_ha_buckets(t)
+    fp = count_fp(t)
+    want = (fp, count_ha(b, t), count_tc(b, t, fp))
+    default = census._CHUNK
+    try:  # a function-scoped monkeypatch would trip hypothesis' health check
+        for chunk in (1, 7):
+            census._CHUNK = chunk
+            for workers in (1, 2):
+                got_fp = count_fp(t, workers=workers)
+                got = (got_fp, count_ha(b, t, workers=workers),
+                       count_tc(b, t, got_fp, workers=workers))
+                assert got == want, (chunk, workers)
+    finally:
+        census._CHUNK = default

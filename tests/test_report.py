@@ -227,6 +227,22 @@ class TestPersistence:
         with pytest.raises(MalformedRecordError, match="schema_version"):
             read_records(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("p", "abc"), ("p", True), ("p", 7.0), ("observed", "many"), ("observed", False),
+        ("equation", 1), ("part", None), ("row_class", ["ANY"]), ("col_class", 0),
+        ("timestamp", 5), ("predicted_num", "6"), ("predicted_num", 6.0),
+        ("predicted_den", 0), ("predicted_den", -1), ("predicted_den", True),
+        ("predicted_num", None), ("predicted_den", None), ("schema_version", True),
+    ])
+    def test_wrong_field_type_rejected(self, tmp_path, field, value):
+        raw = {"schema_version": 1, "p": 7, "equation": "fp", "part": "total",
+               "row_class": "ANY", "col_class": "ANY", "observed": 6,
+               "predicted_num": 6, "predicted_den": 1, "timestamp": "t"}
+        path = tmp_path / "typed.jsonl"
+        path.write_text(json.dumps(raw) + "\n" + json.dumps({**raw, field: value}) + "\n")
+        with pytest.raises(MalformedRecordError, match=f"line 2: .*{field}"):
+            read_records(path)
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "short.jsonl"
         path.write_text(json.dumps({"schema_version": 1, "p": 7}) + "\n")

@@ -42,7 +42,7 @@ class TestBuildTables:
         with pytest.raises(InvalidInputError):
             build_tables(100056)
         with pytest.raises(InvalidInputError):
-            build_tables(101, max_prime=100)
+            build_tables(2147483659)  # the first prime above 2^31
 
     def test_arrays_immutable(self):
         t = build_tables(13)
