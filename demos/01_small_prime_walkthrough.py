@@ -10,7 +10,6 @@ from dlcensus import (
     build_ha_buckets,
     build_tables,
     census_all,
-    classify,
     completions,
     oracle_fp,
     oracle_ha,
@@ -28,10 +27,9 @@ orders = [tables.n // math.gcd(int(i), tables.n) for i in tables.ind[1:]]
 print(f"multiplicative orders: {orders}")
 print()
 
-# Residue classes: PR = primitive root, RP = coprime to p-1.
+# Residue classes: PR = primitive root, RP = coprime to p-1, RPPR = both.
 for x in range(1, p):
-    names = sorted(c.value for c in classify(x, tables))
-    print(f"residue {x}: {names}")
+    print(f"residue {x}: PR={tables.is_pr(x)} RP={tables.is_rp(x)}")
 print()
 
 # The eliminated-form buckets group residues with equal x^x mod p.
@@ -50,11 +48,11 @@ print()
 
 fp, ha, tc = census_all(tables).values()
 print("fixed-point counts (rows g, columns h, classes ANY/PR/RP/RPPR):")
-print(fp.total)
+print(fp.part("total"))
 print("eliminated-form nontrivial counts (rows a):")
-print(ha.nontrivial)
-print("two-cycle nontrivial counts (rows g):")
-print(tc.nontrivial)
+print(ha.part("nontrivial"))
+print("two-cycle nontrivial counts (rows g, then ORD: companion a coprime to p-1):")
+print(tc.part("nontrivial"))
 print()
 
 # The independent brute-force oracle agrees cell for cell.

@@ -36,7 +36,6 @@ from .numtheory import (
     euler_phi,
     factorize,
     is_prime,
-    multiplicative_order,
     next_primes,
     prime_context,
     smallest_primitive_root,
@@ -75,7 +74,6 @@ from .residue_tables import (
     ResidueTables,
     build_tables,
     class_counts,
-    classify,
 )
 
 __version__ = "0.1.0"

@@ -24,13 +24,14 @@ arithmetic, count_tc drops the pairs a tau(n) x tau(n) divisibility table
 shows unsolvable.  The scalar completions() solves the same congruences
 without the tables and serves as their reference.
 
-All counters return a CountMatrix: rows are the condition classes of the row
-variable (g for fp/tc, a for ha), plus the ORD row for tc, and columns the
-classes of h; entry(part, row, col) reads any cell, and the total part is
-derived as trivial + nontrivial.  Each counter splits its work into chunks
-(residues for fp, buckets for ha and tc) whose tallies are plain integer
-arrays, summed on up to `workers` threads, so results are identical for
-every worker count.
+All counters return a CountMatrix: one read-only (part, row, col) grid of
+trivial and nontrivial counts whose rows are ROWS over the row variable (g
+for fp/tc, a for ha; the ORD row for tc only) and whose columns are CLASSES
+over h; part(name) reads one part's grid and entry(part, row, col) one cell,
+with total derived as trivial + nontrivial.  Each counter splits its work
+into chunks (residues for fp, buckets for ha and tc) whose tallies are plain
+integer arrays, summed on up to `workers` threads, so results are identical
+for every worker count.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .errors import InvalidInputError, InvariantViolation
 from .numtheory import solve_linear_congruence
 from .residue_tables import (
     CLASSES,
+    ROWS,
     ResidueTables,
     class_matrix,
     class_vector,
@@ -72,28 +74,31 @@ class Equation(enum.Enum):
         return "a" if self is Equation.HA else "g"
 
 
-_PART_NAMES = ("trivial", "nontrivial", "total")
+#: Census parts: trivial and nontrivial index the first axis of
+#: CountMatrix.counts, and total is their sum.
+PARTS = ("trivial", "nontrivial", "total")
 
 
 @dataclass(frozen=True, eq=False)
 class CountMatrix:
     """Observed solution counts for one equation at one prime.
 
-    trivial and nontrivial are 4x4 int64 matrices indexed by CLASSES (rows:
-    g for fp/tc, a for ha; columns: h), and total is their sum.  fp has no
-    split: its trivial matrix is zero.  For tc only, ord_trivial and
-    ord_nontrivial hold the ORD row: per h-class, the solutions whose
-    companion a = g^h is coprime to n; those are exactly the solutions in
-    one-to-one correspondence with ha solutions having a RP, and every one of
-    them has ord(g) = ord(h).
+    counts is one read-only int64 grid of shape (2, rows, 4), indexed
+    (part, row class, column class): part 0 is trivial and 1 nontrivial;
+    rows are the first 4 (5 for tc) classes of ROWS over the row variable
+    (g for fp/tc, a for ha) and columns CLASSES over h.  fp has no split:
+    its trivial part is zero.  Only tc has the fifth row, ORD: per h-class,
+    the solutions whose companion a = g^h is coprime to n; those are exactly
+    the solutions in one-to-one correspondence with ha solutions having a
+    RP, and every one of them has ord(g) = ord(h).
     """
 
     p: int
     equation: Equation
-    trivial: np.ndarray
-    nontrivial: np.ndarray
-    ord_trivial: np.ndarray | None = None
-    ord_nontrivial: np.ndarray | None = None
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.counts.setflags(write=False)
 
     @property
     def row_var(self) -> str:
@@ -102,50 +107,36 @@ class CountMatrix:
     @property
     def rows(self) -> tuple[ConditionClass, ...]:
         """Row classes: CLASSES, then ORD for tc."""
-        return CLASSES if self.ord_trivial is None else (*CLASSES, ConditionClass.ORD)
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.trivial + self.nontrivial
+        return ROWS[:self.counts.shape[1]]
 
     def part(self, name: str) -> np.ndarray:
-        if name not in _PART_NAMES:
-            raise InvalidInputError(f"unknown part {name!r}")
-        return getattr(self, name)
+        """The rows x 4 grid of one part."""
+        if name == "total":
+            return self.counts.sum(axis=0)
+        return self.counts[_part_axis(name)]
 
     def entry(self, part: str, row: ConditionClass, col: ConditionClass) -> int:
         """One count; row ORD exists for tc only."""
-        if row is not ConditionClass.ORD:
-            trivial, nontrivial = self.trivial, self.nontrivial
-            at = (CLASSES.index(row), CLASSES.index(col))
-        elif self.ord_trivial is not None:
-            trivial, nontrivial = self.ord_trivial, self.ord_nontrivial
-            at = CLASSES.index(col)
-        else:
-            raise InvalidInputError(f"{self.equation.value} census has no ORD row")
-        if part == "trivial":
-            return int(trivial[at])
-        if part == "nontrivial":
-            return int(nontrivial[at])
+        i, j = ROWS.index(row), CLASSES.index(col)
+        if i >= self.counts.shape[1]:
+            raise InvalidInputError(f"{self.equation.value} census has no {row.value} row")
         if part == "total":
-            return int(trivial[at]) + int(nontrivial[at])
-        raise InvalidInputError(f"unknown part {part!r}")
+            return self.counts.item(0, i, j) + self.counts.item(1, i, j)
+        return self.counts.item(_part_axis(part), i, j)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountMatrix):
             return NotImplemented
         return (self.p == other.p and self.equation is other.equation
-                and self.rows == other.rows
-                and all(self.entry(part, row, col) == other.entry(part, row, col)
-                        for part in ("trivial", "nontrivial")
-                        for row in self.rows for col in CLASSES))
+                and np.array_equal(self.counts, other.counts))
 
 
-def _freeze(m: CountMatrix) -> CountMatrix:
-    for arr in (m.trivial, m.nontrivial, m.ord_trivial, m.ord_nontrivial):
-        if arr is not None:
-            arr.setflags(write=False)
-    return m
+def _part_axis(name: str) -> int:
+    if name == "trivial":
+        return 0
+    if name == "nontrivial":
+        return 1
+    raise InvalidInputError(f"unknown part {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,9 +213,9 @@ def count_fp(t: ResidueTables, workers: int = 1) -> CountMatrix:
         return np.bincount(keys, minlength=16)
 
     tally = _sum_chunks(tally_chunk, [*range(1, t.p, _CHUNK), t.p], workers)
-    return _freeze(CountMatrix(p=t.p, equation=Equation.FP,
-                               trivial=np.zeros((4, 4), dtype=np.int64),
-                               nontrivial=class_matrix(tally.reshape(4, 4))))
+    counts = np.zeros((2, 4, 4), dtype=np.int64)
+    counts[1] = class_matrix(tally.reshape(4, 4))
+    return CountMatrix(p=t.p, equation=Equation.FP, counts=counts)
 
 
 def build_ha_buckets(t: ResidueTables) -> HaBuckets:
@@ -281,9 +272,8 @@ def count_ha(b: HaBuckets, t: ResidueTables, workers: int = 1) -> CountMatrix:
     total_combo = _sum_chunks(tally_chunk, [*range(0, b.num_buckets, _CHUNK), b.num_buckets],
                               workers)
     trivial_combo = np.diag(b.combo_counts.sum(axis=0, dtype=np.int64))
-    trivial = class_matrix(trivial_combo)
-    return _freeze(CountMatrix(p=t.p, equation=Equation.HA, trivial=trivial,
-                               nontrivial=class_matrix(total_combo) - trivial))
+    return CountMatrix(p=t.p, equation=Equation.HA,
+                       counts=class_matrix(np.stack([trivial_combo, total_combo - trivial_combo])))
 
 
 def completions(h: int, a: int, t: ResidueTables) -> list[int]:
@@ -385,7 +375,7 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
 
     def tally_chunk(lo: int, hi: int) -> np.ndarray:
         """128 bins over the pairs h <= a of buckets [lo, hi):
-        (h = a) * 64 + combo(a) * 16 + combo(h) * 4 + combo(g)."""
+        (h != a) * 64 + combo(a) * 16 + combo(h) * 4 + combo(g)."""
         # Pairs are positions hp <= ap in this chunk's slice of members, so
         # every per-residue gather is done once per member, not per pair.
         mem = b.members[offsets[lo]:offsets[hi]].astype(np.intp)
@@ -412,28 +402,24 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
         count = np.where(k * step == diff, e[pair], 0)
         base = u1 + s1 * (k * lift[pair] % lift_mod[pair])
         m_combo = t.combo[mem]
-        pair_key = ((hp == ap) * np.uint8(64) + m_combo[ap] * np.uint8(16)
+        pair_key = ((hp != ap) * np.uint8(64) + m_combo[ap] * np.uint8(16)
                     + m_combo[hp] * np.uint8(4))
         ws = _progressions(base, e_step[pair], count)
         return np.bincount(np.repeat(pair_key, count) + g_combo[ws], minlength=128)
 
     tally = _sum_chunks(tally_chunk, bounds, workers)
-    by_pair = tally.reshape(2, 4, 4, 4)  # (h = a, combo(a), combo(h), combo(g))
+    by_pair = tally.reshape(2, 4, 4, 4)  # (h != a, combo(a), combo(h), combo(g))
     rp = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])  # [RP flag, combo]
-    # Fold to [a RP, combo(g), combo(h)]; an off-diagonal pair also counts as
-    # (a, h), which swaps the roles of its two combo axes.
-    trivial_by_rp = np.einsum("rx,xhg->rgh", rp, by_pair[1])
-    nontrivial_by_rp = (np.einsum("rx,xhg->rgh", rp, by_pair[0])
-                        + np.einsum("rx,hxg->rgh", rp, by_pair[0]))
-    trivial = class_matrix(trivial_by_rp.sum(axis=0))
-    nontrivial = class_matrix(nontrivial_by_rp.sum(axis=0))
-    if not np.array_equal(trivial, fp.total):
+    # Fold to [part, a RP, combo(g), combo(h)]; an off-diagonal pair also
+    # counts as (a, h), which swaps the roles of its two combo axes.
+    by_rp = np.einsum("rx,kxhg->krgh", rp, by_pair)
+    by_rp[1] += np.einsum("rx,hxg->rgh", rp, by_pair[1])
+    counts = np.concatenate([class_matrix(by_rp.sum(axis=1)),
+                             class_vector(by_rp[:, 1].sum(axis=1))[:, None]], axis=1)
+    if not np.array_equal(counts[0, :4], fp.part("total")):
         raise InvariantViolation(
             f"tc trivial part disagrees with the fp census at p={t.p}")
-    return _freeze(CountMatrix(p=t.p, equation=Equation.TC,
-                               trivial=trivial, nontrivial=nontrivial,
-                               ord_trivial=class_vector(trivial_by_rp[1].sum(axis=0)),
-                               ord_nontrivial=class_vector(nontrivial_by_rp[1].sum(axis=0))))
+    return CountMatrix(p=t.p, equation=Equation.TC, counts=counts)
 
 
 def census_all(t: ResidueTables, equations=tuple(Equation),

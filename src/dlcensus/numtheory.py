@@ -1,4 +1,4 @@
-"""Stateless integer primitives: primality, factorization, orders, congruences.
+"""Stateless integer primitives: primality, factorization, totients, congruences.
 
 Everything here works on plain Python ints, is deterministic, and is safe to
 call concurrently.  Modular exponentiation delegates to the built-in
@@ -16,7 +16,6 @@ from .errors import InvalidInputError
 # far beyond the 2^63 input bound enforced below.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_TRIAL_DIVISION_LIMIT = 1 << 32
 INT_LIMIT = 1 << 63
 
 
@@ -72,26 +71,15 @@ class PrimeContext:
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2^63.
 
-    Trial division below 2^32, a fixed Miller-Rabin witness set above; no
-    probabilistic answers in range.
+    A multiple of a witness prime is prime only if it is that witness; every
+    other n runs Miller-Rabin with the fixed witness set, so no answer in
+    range is probabilistic.
     """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    if n < _TRIAL_DIVISION_LIMIT:
-        d = 3
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
-    return _miller_rabin(n)
-
-
-def _miller_rabin(n: int) -> bool:
+    for q in _MR_WITNESSES:
+        if n % q == 0:
+            return n == q
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -218,18 +206,6 @@ def solve_linear_congruence(a: int, b: int, n: int) -> CongruenceSolution:
     step = n // g
     base = (b // g) * pow((a // g) % step, -1, step) % step if step > 1 else 0
     return CongruenceSolution(base=base, step=step, count=g)
-
-
-def multiplicative_order(x: int, p: int, f: Factored) -> int:
-    """Least t >= 1 with x^t = 1 (mod p); f is the factorization of p - 1.
-
-    Starts at p - 1 and divides out prime factors while the power stays 1.
-    """
-    t = p - 1
-    for q, _ in f:
-        while t % q == 0 and pow(x, t // q, p) == 1:
-            t //= q
-    return t
 
 
 def smallest_primitive_root(p: int, f: Factored) -> int:

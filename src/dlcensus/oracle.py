@@ -42,17 +42,15 @@ def _combos(p: int) -> list[int]:
 
 
 def oracle_fp(p: int) -> CountMatrix:
-    """Count g^h = h (mod p) by checking all (g, h) pairs."""
+    """Count g^h = h (mod p) by checking all (g, h) pairs; all nontrivial."""
     _check(p)
     combo = _combos(p)
-    tally = np.zeros((4, 4), dtype=np.int64)
+    tally = np.zeros((2, 4, 4), dtype=np.int64)
     for g in range(1, p):
         for h in range(1, p):
             if pow(g, h, p) == h:
-                tally[combo[g], combo[h]] += 1
-    return CountMatrix(p=p, equation=Equation.FP,
-                       trivial=np.zeros((4, 4), dtype=np.int64),
-                       nontrivial=class_matrix(tally))
+                tally[1, combo[g], combo[h]] += 1
+    return CountMatrix(p=p, equation=Equation.FP, counts=class_matrix(tally))
 
 
 def oracle_ha(p: int) -> CountMatrix:
@@ -60,14 +58,12 @@ def oracle_ha(p: int) -> CountMatrix:
     _check(p)
     combo = _combos(p)
     self_power = [0] + [pow(x, x, p) for x in range(1, p)]
-    trivial = np.zeros((4, 4), dtype=np.int64)
-    nontrivial = np.zeros((4, 4), dtype=np.int64)
+    tally = np.zeros((2, 4, 4), dtype=np.int64)
     for h in range(1, p):
         for a in range(1, p):
             if self_power[h] == self_power[a]:
-                (trivial if h == a else nontrivial)[combo[a], combo[h]] += 1
-    return CountMatrix(p=p, equation=Equation.HA,
-                       trivial=class_matrix(trivial), nontrivial=class_matrix(nontrivial))
+                tally[int(h != a), combo[a], combo[h]] += 1
+    return CountMatrix(p=p, equation=Equation.HA, counts=class_matrix(tally))
 
 
 def oracle_tc(p: int) -> CountMatrix:
@@ -76,24 +72,15 @@ def oracle_tc(p: int) -> CountMatrix:
     _check(p)
     n = p - 1
     combo = _combos(p)
-    trivial = np.zeros((4, 4), dtype=np.int64)
-    nontrivial = np.zeros((4, 4), dtype=np.int64)
-    ord_trivial = np.zeros(4, dtype=np.int64)
-    ord_nontrivial = np.zeros(4, dtype=np.int64)
+    tally = np.zeros((2, 4, 4), dtype=np.int64)
+    ord_tally = np.zeros((2, 4), dtype=np.int64)
     for g in range(1, p):
         for h in range(1, p):
             a = pow(g, h, p)
             if pow(g, a, p) != h:
                 continue
-            if a == h:
-                trivial[combo[g], combo[h]] += 1
-                if math.gcd(a, n) == 1:
-                    ord_trivial[combo[h]] += 1
-            else:
-                nontrivial[combo[g], combo[h]] += 1
-                if math.gcd(a, n) == 1:
-                    ord_nontrivial[combo[h]] += 1
-    return CountMatrix(p=p, equation=Equation.TC,
-                       trivial=class_matrix(trivial), nontrivial=class_matrix(nontrivial),
-                       ord_trivial=class_vector(ord_trivial),
-                       ord_nontrivial=class_vector(ord_nontrivial))
+            tally[int(h != a), combo[g], combo[h]] += 1
+            if math.gcd(a, n) == 1:
+                ord_tally[int(h != a), combo[h]] += 1
+    counts = np.concatenate([class_matrix(tally), class_vector(ord_tally)[:, None]], axis=1)
+    return CountMatrix(p=p, equation=Equation.TC, counts=counts)

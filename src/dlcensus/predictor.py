@@ -15,7 +15,7 @@ from fractions import Fraction
 from .census import Equation
 from .errors import InvalidInputError
 from .numtheory import Factored, PrimeContext, divisors_with_phi
-from .residue_tables import CLASSES, ConditionClass
+from .residue_tables import CLASSES, ROWS, ConditionClass
 
 #: Exact rational number type used for all predicted values.
 Rational = Fraction
@@ -117,7 +117,6 @@ _GRIDS = {
         (_F.PHI, _F.NONE, _F.PHI2_N, _F.NONE),
     ),
 }
-_ROWS = (*CLASSES, ConditionClass.ORD)
 
 
 @dataclass(frozen=True)
@@ -139,11 +138,11 @@ class PredictionMatrix:
     @property
     def rows(self) -> tuple[ConditionClass, ...]:
         """Row classes: CLASSES, then ORD for tc."""
-        return _ROWS[:len(self.formulas)]
+        return ROWS[:len(self.formulas)]
 
     def cell(self, row: ConditionClass, col: ConditionClass) -> tuple[FormulaId, Rational | None]:
         """Formula and value of one cell; row ORD exists for tc only."""
-        i, j = _ROWS.index(row), CLASSES.index(col)
+        i, j = ROWS.index(row), CLASSES.index(col)
         if i >= len(self.formulas):
             raise InvalidInputError(f"{self.equation.value} predictions have no {row.value} row")
         return self.formulas[i][j], self.values[i][j]

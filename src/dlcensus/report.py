@@ -17,10 +17,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .census import CountMatrix, Equation
+from .census import PARTS, CountMatrix, Equation
 from .errors import InvalidInputError, MalformedRecordError
 from .predictor import FormulaId, PredictionMatrix
-from .residue_tables import CLASSES, ClassCounts, ConditionClass
+from .residue_tables import CLASSES, ROWS, ClassCounts, ConditionClass
 
 SCHEMA_VERSION = 1
 
@@ -94,7 +94,7 @@ def _cell(part: str, row: ConditionClass, col: ConditionClass, observed: int,
 
 def _symmetry_pairs(m: CountMatrix) -> list[tuple[int, int]]:
     pairs = []
-    for part in ("trivial", "nontrivial", "total"):
+    for part in PARTS:
         grid = m.part(part)
         for i in range(4):
             for j in range(i + 1, 4):
@@ -328,7 +328,7 @@ def render_counts(m: CountMatrix, fmt: str = "text") -> bytes:
     """Serialize a bare census matrix (no predictions)."""
     _check_format(fmt)
     cells = [CellRecord(part, row, col, m.entry(part, row, col), None, None, None)
-             for part in ("trivial", "nontrivial", "total")
+             for part in PARTS
              for row in m.rows for col in CLASSES]
     if fmt == "text":
         header = f"equation={m.equation.value} p={m.p} rows={m.row_var}"
@@ -403,14 +403,28 @@ def append_records(path, records: list[ResultRecord]) -> None:
             fh.write(record.to_json_line() + "\n")
 
 
-def _field_type_problem(raw: dict) -> str | None:
-    """What is wrong with the types of a record's values, or None."""
+# The values records_from_report writes into each name field.
+_FIELD_VALUES = (
+    ("equation", frozenset(eq.value for eq in Equation)),
+    ("part", frozenset(PARTS)),
+    ("row_class", frozenset(row.value for row in ROWS)),
+    ("col_class", frozenset(col.value for col in CLASSES)),
+)
+
+
+def _field_problem(raw: dict) -> str | None:
+    """What is wrong with a record's values, or None."""
     for name in ("p", "observed"):
         if type(raw[name]) is not int:  # a JSON true or false is a bool, not an int
             return f"{name} must be an int, got {raw[name]!r}"
-    for name in ("equation", "part", "row_class", "col_class", "timestamp"):
-        if not isinstance(raw[name], str):
-            return f"{name} must be a string, got {raw[name]!r}"
+    if raw["observed"] < 0:
+        return f"observed must be >= 0, got {raw['observed']!r}"
+    if not isinstance(raw["timestamp"], str):
+        return f"timestamp must be a string, got {raw['timestamp']!r}"
+    for name, allowed in _FIELD_VALUES:
+        value = raw[name]
+        if type(value) is not str or value not in allowed:
+            return f"{name} must be one of {sorted(allowed)}, got {value!r}"
     num, den = raw["predicted_num"], raw["predicted_den"]
     if (num, den) != (None, None) and (type(num) is not int or type(den) is not int
                                        or den <= 0):
@@ -437,7 +451,7 @@ def read_records(path) -> list[ResultRecord]:
                 raise MalformedRecordError(f"line {lineno}: unsupported schema_version {version!r}")
             if set(raw) != set(_RECORD_FIELDS):
                 raise MalformedRecordError(f"line {lineno}: unexpected record fields")
-            problem = _field_type_problem(raw)
+            problem = _field_problem(raw)
             if problem:
                 raise MalformedRecordError(f"line {lineno}: {problem}")
             out.append(ResultRecord(**raw))

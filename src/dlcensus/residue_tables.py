@@ -46,6 +46,9 @@ class ConditionClass(enum.Enum):
 
 #: The four classes indexing every 4x4 census matrix, in axis order.
 CLASSES = (ConditionClass.ANY, ConditionClass.PR, ConditionClass.RP, ConditionClass.RPPR)
+#: Row classes of every census and prediction grid, in axis order: CLASSES,
+#: then ORD, which only the tc grids carry.
+ROWS = (*CLASSES, ConditionClass.ORD)
 
 # Internal residue encoding: combo = (1 if PR) + (2 if RP).  Each class is a
 # union of combos; RPPR = PR and RP holds combo 3 only.
@@ -64,13 +67,15 @@ for _i, _cls in enumerate(CLASSES):
 
 
 def class_matrix(combo_matrix: np.ndarray) -> np.ndarray:
-    """Aggregate a 4x4 combo-indexed count matrix into the class-indexed one."""
+    """Aggregate 4x4 combo-indexed count matrices (the last two axes) into
+    class-indexed ones."""
     return _AGG @ np.asarray(combo_matrix, dtype=np.int64) @ _AGG.T
 
 
 def class_vector(combo_vector: np.ndarray) -> np.ndarray:
-    """Aggregate a length-4 combo-indexed tally into the class-indexed one."""
-    return _AGG @ np.asarray(combo_vector, dtype=np.int64)
+    """Aggregate length-4 combo-indexed tallies (the last axis) into
+    class-indexed ones."""
+    return np.asarray(combo_vector, dtype=np.int64) @ _AGG.T
 
 
 @dataclass(frozen=True)
@@ -185,20 +190,6 @@ def _inverse_table(gcd_n: np.ndarray, lam: int, n: int) -> np.ndarray:
         base = base * base % modulus
         exponent >>= 1
     return (result % modulus).astype(np.uint32)
-
-
-def classify(x: int, t: ResidueTables) -> set[ConditionClass]:
-    """Condition-class memberships of residue x (always includes ANY)."""
-    if not 1 <= x <= t.n:
-        raise InvalidInputError(f"residue {x} outside [1, {t.n}]")
-    out = {ConditionClass.ANY}
-    if t.is_pr(x):
-        out.add(ConditionClass.PR)
-    if t.is_rp(x):
-        out.add(ConditionClass.RP)
-    if t.is_pr(x) and t.is_rp(x):
-        out.add(ConditionClass.RPPR)
-    return out
 
 
 def class_counts(t: ResidueTables) -> ClassCounts:

@@ -23,6 +23,7 @@ from dlcensus.oracle import oracle_fp, oracle_ha, oracle_tc
 from dlcensus.report import render_counts
 from dlcensus.residue_tables import (
     CLASSES,
+    ROWS,
     ConditionClass,
     build_tables,
     class_counts,
@@ -61,8 +62,8 @@ class TestCountFp:
 
     def test_no_split(self):
         fp = count_fp(build_tables(13))
-        assert not fp.trivial.any()
-        assert np.array_equal(fp.nontrivial, fp.total)
+        assert not fp.part("trivial").any()
+        assert np.array_equal(fp.part("nontrivial"), fp.part("total"))
 
 
 class TestHaBuckets:
@@ -132,7 +133,7 @@ class TestCountHa:
             counts = class_counts(t)
             for i, r in enumerate(CLASSES):
                 for j, c in enumerate(CLASSES):
-                    assert ha.trivial[i, j] == counts.intersection(r, c)
+                    assert ha.part("trivial")[i, j] == counts.intersection(r, c)
 
     def test_rejects_mismatched_tables(self):
         b = build_ha_buckets(build_tables(7))
@@ -174,7 +175,7 @@ class TestCountTc:
     def test_p7(self):
         _, _, fp, _, tc = census_for(7)
         assert tc.entry("nontrivial", ANY, ANY) == 6
-        assert np.array_equal(tc.trivial, fp.total)
+        assert np.array_equal(tc.part("trivial")[:4], fp.part("total"))
 
     def test_p5(self):
         _, _, _, _, tc = census_for(5)
@@ -219,7 +220,7 @@ class TestStructuralInvariants:
         # exact equality of the census with phi(p-1) for unconstrained g, h RP
         assert fp.entry("total", ANY, RP) == phi
         for m in (fp, ha, tc):
-            assert np.array_equal(m.total, m.trivial + m.nontrivial)
+            assert np.array_equal(m.part("total"), m.part("trivial") + m.part("nontrivial"))
             # monotonicity: adding a constraint never increases a count
             for part in ("trivial", "nontrivial", "total"):
                 grid = m.part(part)
@@ -333,3 +334,17 @@ class TestCountMatrixPayload:
         _, _, fp, _, _ = census_for(5)
         with pytest.raises(InvalidInputError):
             fp.entry("bogus", ANY, ANY)
+
+    @pytest.mark.parametrize("p", (2, 13))
+    def test_one_read_only_grid(self, p):
+        brute = {Equation.FP: oracle_fp(p), Equation.HA: oracle_ha(p), Equation.TC: oracle_tc(p)}
+        for eq, fast in census_all(build_tables(p)).items():
+            for m in (fast, brute[eq]):
+                assert not m.counts.flags.writeable
+                with pytest.raises(ValueError):
+                    m.counts[0, 0, 0] = 1
+                assert m.counts.dtype == np.int64
+                assert m.counts.shape == (2, 5 if eq is Equation.TC else 4, 4)
+                assert m.rows == ROWS[:m.counts.shape[1]]
+                with pytest.raises(InvalidInputError):
+                    m.part("bogus")

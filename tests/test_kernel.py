@@ -100,11 +100,12 @@ def test_kernels_match_scalar_completions(p):
     total, _ = completion_sum(b, t)
     assert tc.entry("nontrivial", ANY, ANY) == total
     scalar_fp, scalar_tc = scalar_census(b, t)
-    assert np.array_equal(fp.total, class_matrix(scalar_fp))
-    assert np.array_equal(tc.trivial, class_matrix(scalar_tc[1].sum(axis=0)))
-    assert np.array_equal(tc.nontrivial, class_matrix(scalar_tc[0].sum(axis=0)))
-    assert np.array_equal(tc.ord_trivial, class_vector(scalar_tc[1, 1].sum(axis=0)))
-    assert np.array_equal(tc.ord_nontrivial, class_vector(scalar_tc[0, 1].sum(axis=0)))
+    assert np.array_equal(fp.part("total"), class_matrix(scalar_fp))
+    trivial, nontrivial = tc.part("trivial"), tc.part("nontrivial")
+    assert np.array_equal(trivial[:4], class_matrix(scalar_tc[1].sum(axis=0)))
+    assert np.array_equal(nontrivial[:4], class_matrix(scalar_tc[0].sum(axis=0)))
+    assert np.array_equal(trivial[4], class_vector(scalar_tc[1, 1].sum(axis=0)))
+    assert np.array_equal(nontrivial[4], class_vector(scalar_tc[0, 1].sum(axis=0)))
 
 
 def in_bucket_pairs(b):

@@ -14,7 +14,6 @@ from dlcensus.numtheory import (
     euler_phi,
     factorize,
     is_prime,
-    multiplicative_order,
     next_primes,
     prime_context,
     smallest_primitive_root,
@@ -216,26 +215,6 @@ def naive_order(x: int, p: int) -> int:
         value = value * x % p
         order += 1
     return order
-
-
-class TestMultiplicativeOrder:
-    def test_reference_values(self):
-        f6 = factorize(6)
-        assert multiplicative_order(2, 7, f6) == 3
-        assert multiplicative_order(1, 7, f6) == 1
-        assert multiplicative_order(3, 7, f6) == 6
-
-    def test_matches_naive_and_divides_group_order(self):
-        for p in [2, 3, 5, 7, 11, 13, 31, 61, 97, 127, 257, 311]:
-            f = factorize(p - 1) if p > 2 else Factored(1, ())
-            n = p - 1
-            full_order = 0
-            for x in range(1, p):
-                t = multiplicative_order(x, p, f)
-                assert t == naive_order(x, p)
-                assert n % t == 0
-                full_order += t == n
-            assert full_order == euler_phi(f)
 
 
 class TestSmallestPrimitiveRoot:

@@ -116,9 +116,9 @@ class TestCrossEquationChecks:
     def test_failure_carries_both_values(self, p13):
         import dataclasses
         import numpy as np
-        broken = np.array(p13["tc"].nontrivial, copy=True)
-        broken[0, 2] += 1
-        tampered = dataclasses.replace(p13["tc"], nontrivial=broken)
+        broken = np.array(p13["tc"].counts, copy=True)
+        broken[1, 0, 2] += 1
+        tampered = dataclasses.replace(p13["tc"], counts=broken)
         claims = cross_equation_checks(p13["ha"], tampered)
         failed = [c for c in claims if not c.passed]
         assert failed
@@ -233,6 +233,8 @@ class TestPersistence:
         ("timestamp", 5), ("predicted_num", "6"), ("predicted_num", 6.0),
         ("predicted_den", 0), ("predicted_den", -1), ("predicted_den", True),
         ("predicted_num", None), ("predicted_den", None), ("schema_version", True),
+        ("equation", "zz"), ("equation", "FP"), ("part", "bogus"), ("row_class", "NOPE"),
+        ("row_class", "any"), ("col_class", "ORD"), ("observed", -6),
     ])
     def test_wrong_field_type_rejected(self, tmp_path, field, value):
         raw = {"schema_version": 1, "p": 7, "equation": "fp", "part": "total",

@@ -12,7 +12,6 @@ from dlcensus.residue_tables import (
     class_counts,
     class_matrix,
     class_vector,
-    classify,
 )
 
 SMALL_PRIMES = [p for p in range(2, 312) if is_prime(p)]
@@ -74,17 +73,17 @@ class TestBuildTables:
 class TestClassify:
     def test_p5_examples(self):
         t = build_tables(5)
-        assert classify(3, t) == {ConditionClass.ANY, ConditionClass.PR,
-                                  ConditionClass.RP, ConditionClass.RPPR}
-        assert classify(1, t) == {ConditionClass.ANY, ConditionClass.RP}
-        assert classify(2, t) == {ConditionClass.ANY, ConditionClass.PR}
+        assert (t.is_pr(3), t.is_rp(3)) == (True, True)  # RPPR
+        assert (t.is_pr(1), t.is_rp(1)) == (False, True)
+        assert (t.is_pr(2), t.is_rp(2)) == (True, False)
 
     def test_rejects_out_of_range(self):
         t = build_tables(5)
-        with pytest.raises(InvalidInputError):
-            classify(0, t)
-        with pytest.raises(InvalidInputError):
-            classify(5, t)
+        assert (t.is_pr(0), t.is_rp(0)) == (False, False)  # padding, in no class
+        with pytest.raises(IndexError):
+            t.is_pr(5)
+        with pytest.raises(IndexError):
+            t.is_rp(5)
 
 
 class TestClassCounts:
