@@ -1,8 +1,11 @@
 """Byte-for-byte golden tests of the command line's stdout.
 
 Each case runs ``dispatch`` in process and compares its stdout with a frozen
-file in ``tests/golden/``.  The sweep case also compares the records file
-written by ``--out``, with every ``timestamp`` value blanked.
+file in ``tests/golden/``.  The ``--out`` cases (a sweep and one compare) also
+compare the records file they write, with every ``timestamp`` value blanked:
+once after parsing and re-dumping each line, and once as raw bytes with each
+timestamp value replaced textually by ``""``, which pins the writer's own
+bytes.
 
 Fixtures are written once and never edited; to add a case, add it to CASES
 and run ``PYTHONPATH=src python tests/test_golden.py``, which writes only the
@@ -43,7 +46,12 @@ def _cases() -> dict[str, list[str]]:
 
 
 CASES = _cases()
-SWEEP_ARGV = ["sweep", "--start", "1000", "--count", "3", "--threads", "1"]
+# Cases run with --out FILE: fixture stem -> argv; stdout goes to <stem>.stdout
+# and the records file, timestamps blanked, to <stem>.jsonl.
+OUT_CASES = {
+    "sweep-start1000-count3": ["sweep", "--start", "1000", "--count", "3", "--threads", "1"],
+    "compare-p100057-all-out": ["compare", "--prime", "100057", "--equation", "all"],
+}
 
 
 def _stdout(capsysbinary, argv: list[str]) -> bytes:
@@ -62,16 +70,26 @@ def _blank_timestamps(jsonl: bytes) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("name", sorted(CASES) + ["sweep-start1000-count3"])
+def _blank_timestamps_textually(jsonl: bytes) -> bytes:
+    """The raw bytes with each timestamp value replaced, as text, by ""."""
+    for stamp in {json.loads(line)["timestamp"] for line in jsonl.splitlines()}:
+        jsonl = jsonl.replace(f'"timestamp":{json.dumps(stamp)}'.encode(),
+                              b'"timestamp":""')
+    return jsonl
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(OUT_CASES))
 def test_stdout_matches_golden(name, capsysbinary, tmp_path):
     if name in CASES:
         assert _stdout(capsysbinary, CASES[name]) == (GOLDEN / name).read_bytes()
         return
-    out_file = tmp_path / "sweep.jsonl"
-    stdout = _stdout(capsysbinary, SWEEP_ARGV + ["--out", str(out_file)])
+    out_file = tmp_path / "records.jsonl"
+    stdout = _stdout(capsysbinary, OUT_CASES[name] + ["--out", str(out_file)])
     assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
-    assert _blank_timestamps(out_file.read_bytes()) == \
-        (GOLDEN / f"{name}.jsonl").read_bytes()
+    written = out_file.read_bytes()
+    golden = (GOLDEN / f"{name}.jsonl").read_bytes()
+    assert _blank_timestamps(written) == golden
+    assert _blank_timestamps_textually(written) == golden
 
 
 def _write_missing_fixtures() -> None:
@@ -91,12 +109,14 @@ def _write_missing_fixtures() -> None:
     for name, argv in CASES.items():
         if not (GOLDEN / name).exists():
             (GOLDEN / name).write_bytes(run(argv))
-    stdout_file = GOLDEN / "sweep-start1000-count3.stdout"
-    if not stdout_file.exists():
+    for name, argv in OUT_CASES.items():
+        stdout_file = GOLDEN / f"{name}.stdout"
+        if stdout_file.exists():
+            continue
         with tempfile.TemporaryDirectory() as tmp:
-            out_file = Path(tmp) / "sweep.jsonl"
-            stdout_file.write_bytes(run(SWEEP_ARGV + ["--out", str(out_file)]))
-            (GOLDEN / "sweep-start1000-count3.jsonl").write_bytes(
+            out_file = Path(tmp) / "records.jsonl"
+            stdout_file.write_bytes(run(argv + ["--out", str(out_file)]))
+            (GOLDEN / f"{name}.jsonl").write_bytes(
                 _blank_timestamps(out_file.read_bytes()))
 
 
