@@ -207,14 +207,12 @@ def _compare_prime(p: int, equations: list[Equation], threads: int):
 
 
 def _persist(path: str, reports) -> int:
-    """Append every report's records to path; returns how many were written."""
+    """Append every report's records to path in one call; returns how many."""
     stamp = datetime.now(timezone.utc).isoformat()
-    written = 0
-    for rep in reports:
-        records = report.records_from_report(rep, stamp)
-        report.append_records(path, records)
-        written += len(records)
-    return written
+    records = [record for rep in reports
+               for record in report.records_from_report(rep, stamp)]
+    report.append_records(path, records)
+    return len(records)
 
 
 def _cmd_compare(args) -> int:

@@ -33,18 +33,19 @@ class FormulaId(enum.Enum):
 
 
 def ha_sum_form(f: Factored) -> Rational:
-    """sum over m | n of (phi(m)/m^2) * (sum over d | n/m of phi(d*m)/d)^2."""
+    """sum over m | n of (phi(m)/m^2) * (sum over d | n/m of phi(d*m)/d)^2.
+
+    Evaluated in integers as (sum over m | n of phi(m) * I_m^2) / n^2, where
+    I_m = sum over d | n/m of phi(d*m) * (n/m/d) is n/m times the inner sum.
+    """
     n = f.n
     phi_of = dict(divisors_with_phi(f))
-    total = Fraction(0)
+    total = 0
     for m, phi_m in phi_of.items():
         rest = n // m
-        inner = Fraction(0)
-        for d in phi_of:
-            if rest % d == 0:
-                inner += Fraction(phi_of[d * m], d)
-        total += Fraction(phi_m, m * m) * inner * inner
-    return total
+        inner = sum(phi_of[d * m] * (rest // d) for d in phi_of if rest % d == 0)
+        total += phi_m * inner * inner
+    return Fraction(total, n * n)
 
 
 def ha_geneq_form(f: Factored) -> Rational:
@@ -151,9 +152,8 @@ class PredictionMatrix:
 def predict_matrix(equation: Equation, ctx: PrimeContext) -> PredictionMatrix:
     """Assemble the prediction grid for one equation."""
     grid = _GRIDS[equation]
-    values = tuple(
-        tuple(None if fid is FormulaId.NONE else formula_value(fid, ctx) for fid in row)
-        for row in grid
-    )
+    value_of = {fid: None if fid is FormulaId.NONE else formula_value(fid, ctx)
+                for fid in {fid for row in grid for fid in row}}
+    values = tuple(tuple(value_of[fid] for fid in row) for row in grid)
     return PredictionMatrix(p=ctx.p, n=ctx.n, phi=ctx.phi, equation=equation,
                             formulas=grid, values=values)

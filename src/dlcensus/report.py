@@ -14,11 +14,12 @@ digits rounded half away from zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .census import PARTS, CountMatrix, Equation
 from .errors import InvalidInputError, MalformedRecordError
+from .numtheory import is_prime
 from .predictor import FormulaId, PredictionMatrix
 from .residue_tables import CLASSES, ROWS, ClassCounts, ConditionClass
 
@@ -88,7 +89,9 @@ def _claim(name: str, pairs: list[tuple[int, int]], description: str = "") -> Cl
 
 def _cell(part: str, row: ConditionClass, col: ConditionClass, observed: int,
           formula: FormulaId | None, predicted: Fraction | None) -> CellRecord:
-    ratio = float(Fraction(observed) / predicted) if predicted else None
+    # int true division is correctly rounded: float(Fraction(observed) / predicted)
+    ratio = (observed * predicted.denominator / predicted.numerator if predicted
+             else None)
     return CellRecord(part, row, col, observed, formula, predicted, ratio)
 
 
@@ -118,21 +121,20 @@ def compare(observed: CountMatrix, predicted: PredictionMatrix,
             f"equation mismatch: {observed.equation.value} vs {predicted.equation.value}")
 
     eq = observed.equation
+    trivials, nontrivials = observed.counts.tolist()
     cells: list[CellRecord] = []
-    for row in observed.rows:
-        for col in CLASSES:
-            fid, value = predicted.cell(row, col)
+    for i, row in enumerate(observed.rows):
+        for j, col in enumerate(CLASSES):
+            fid, value = predicted.formulas[i][j], predicted.values[i][j]
+            triv, nontriv = trivials[i][j], nontrivials[i][j]
             if eq is Equation.FP:
-                cells.append(_cell("total", row, col,
-                                   observed.entry("total", row, col), fid, value))
+                cells.append(_cell("total", row, col, triv + nontriv, fid, value))
                 continue
-            triv = observed.entry("trivial", row, col)
             exact_trivial = (counts.intersection(row, col) if eq is Equation.HA
                              else triv)
             cells.append(_cell("trivial", row, col, triv, None, None))
-            cells.append(_cell("nontrivial", row, col,
-                               observed.entry("nontrivial", row, col), fid, value))
-            cells.append(_cell("total", row, col, observed.entry("total", row, col),
+            cells.append(_cell("nontrivial", row, col, nontriv, fid, value))
+            cells.append(_cell("total", row, col, triv + nontriv,
                                fid, None if value is None else value + exact_trivial))
 
     claims: list[ClaimCheck] = []
@@ -359,12 +361,14 @@ def render_predictions(pm: PredictionMatrix, fmt: str = "text", digits: int = 3)
 
 # --- persistence ------------------------------------------------------------
 
-_RECORD_FIELDS = ("schema_version", "p", "equation", "part", "row_class",
-                  "col_class", "observed", "predicted_num", "predicted_den",
-                  "timestamp")
+def _json_value(value) -> str:
+    """json.dumps(value) for one record field; strings go through json's own escaper."""
+    if type(value) is str:
+        return json.encoder.encode_basestring_ascii(value)
+    return repr(value) if type(value) is int else "null" if value is None else json.dumps(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultRecord:
     """One persisted census/prediction cell; round-trips through JSONL."""
 
@@ -380,79 +384,117 @@ class ResultRecord:
     schema_version: int = SCHEMA_VERSION
 
     def to_json_line(self) -> str:
-        return json.dumps({f: getattr(self, f) for f in _RECORD_FIELDS},
-                          sort_keys=True, separators=(",", ":"))
+        """The fields in sorted key order with "," and ":" between tokens, as
+        json.dumps(..., sort_keys=True, separators=(",", ":")) writes them."""
+        j = _json_value
+        return (f'{{"col_class":{j(self.col_class)},"equation":{j(self.equation)},'
+                f'"observed":{j(self.observed)},"p":{j(self.p)},"part":{j(self.part)},'
+                f'"predicted_den":{j(self.predicted_den)},"predicted_num":'
+                f'{j(self.predicted_num)},"row_class":{j(self.row_class)},'
+                f'"schema_version":{j(self.schema_version)},"timestamp":{j(self.timestamp)}}}')
 
 
 def records_from_report(report: ComparisonReport, timestamp: str) -> list[ResultRecord]:
-    return [
-        ResultRecord(p=report.p, equation=report.equation.value, part=cell.part,
-                     row_class=cell.row.value, col_class=cell.col.value,
-                     observed=cell.observed,
-                     predicted_num=cell.predicted.numerator if cell.predicted is not None else None,
-                     predicted_den=cell.predicted.denominator if cell.predicted is not None else None,
-                     timestamp=timestamp)
-        for cell in report.cells
-    ]
+    p, equation = report.p, report.equation.value
+    return [ResultRecord(p, equation, cell.part, cell.row.value, cell.col.value,
+                         cell.observed, *(cell.predicted.as_integer_ratio()
+                                          if cell.predicted is not None else (None, None)),
+                         timestamp)
+            for cell in report.cells]
+
+
+_RECORD_FIELDS = frozenset(f.name for f in fields(ResultRecord))
 
 
 def append_records(path, records: list[ResultRecord]) -> None:
     """Append records to a line-delimited file (created if missing)."""
     with open(path, "a", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(record.to_json_line() + "\n")
+        fh.writelines(f"{record.to_json_line()}\n" for record in records)
 
 
-# The values records_from_report writes into each name field.
-_FIELD_VALUES = (
-    ("equation", frozenset(eq.value for eq in Equation)),
-    ("part", frozenset(PARTS)),
-    ("row_class", frozenset(row.value for row in ROWS)),
-    ("col_class", frozenset(col.value for col in CLASSES)),
-)
+# Every (equation, part, row_class, col_class) that records_from_report writes,
+# mapped to itself so that the records read back share their name strings.
+_NAMES = {names: names for names in (
+    (eq.value, part, row.value, col.value) for eq in Equation
+    for part in (("total",) if eq is Equation.FP else PARTS)
+    for row in (ROWS if eq is Equation.TC else CLASSES) for col in CLASSES)}
+_BATCH_LINES = 1024  # non-blank lines parsed by one json.loads call
 
 
-def _field_problem(raw: dict) -> str | None:
-    """What is wrong with a record's values, or None."""
-    for name in ("p", "observed"):
-        if type(raw[name]) is not int:  # a JSON true or false is a bool, not an int
-            return f"{name} must be an int, got {raw[name]!r}"
-    if raw["observed"] < 0:
-        return f"observed must be >= 0, got {raw['observed']!r}"
-    if not isinstance(raw["timestamp"], str):
-        return f"timestamp must be a string, got {raw['timestamp']!r}"
-    for name, allowed in _FIELD_VALUES:
-        value = raw[name]
+def _names_problem(names: tuple) -> str:
+    for k, (name, value) in enumerate(zip(("equation", "part", "row_class", "col_class"),
+                                          names)):
+        allowed = {key[k] for key in _NAMES}
         if type(value) is not str or value not in allowed:
             return f"{name} must be one of {sorted(allowed)}, got {value!r}"
+    return (f"no {names[0]} record has part {names[1]!r} and row_class {names[2]!r} "
+            "(ORD rows are tc only, fp has only the total part)")
+
+
+def _record(raw, primes: dict[int, int], stamps: dict[str, str]) -> ResultRecord:
+    """The record one parsed line holds, else MalformedRecordError.  primes
+    and stamps share the p and timestamp values of one file's records."""
+    if not isinstance(raw, dict):
+        raise MalformedRecordError("record is not an object")
+    version = raw.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # true == 1 in Python
+        raise MalformedRecordError(f"unsupported schema_version {version!r}")
+    if raw.keys() != _RECORD_FIELDS:
+        raise MalformedRecordError("unexpected record fields")
+    p, observed, stamp = raw["p"], raw["observed"], raw["timestamp"]
+    for name, value in (("p", p), ("observed", observed)):
+        if type(value) is not int:  # a JSON true or false is a bool, not an int
+            raise MalformedRecordError(f"{name} must be an int, got {value!r}")
+    if observed < 0:
+        raise MalformedRecordError(f"observed must be >= 0, got {observed!r}")
+    if not isinstance(stamp, str):
+        raise MalformedRecordError(f"timestamp must be a string, got {stamp!r}")
+    names = (raw["equation"], raw["part"], raw["row_class"], raw["col_class"])
+    try:
+        names = _NAMES[names]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise MalformedRecordError(_names_problem(names)) from None
     num, den = raw["predicted_num"], raw["predicted_den"]
     if (num, den) != (None, None) and (type(num) is not int or type(den) is not int
                                        or den <= 0):
-        return ("predicted_num/predicted_den must be both null or an int over a "
-                f"positive int, got {num!r}/{den!r}")
-    return None
+        raise MalformedRecordError(
+            "predicted_num/predicted_den must be both null or an int over a "
+            f"positive int, got {num!r}/{den!r}")
+    if p not in primes:
+        if not is_prime(p):
+            raise MalformedRecordError(f"p must be a prime >= 2, got {p!r}")
+        primes[p] = p
+    return ResultRecord(primes[p], *names, observed, num, den,
+                        stamps.setdefault(stamp, stamp), version)
 
 
 def read_records(path) -> list[ResultRecord]:
-    """Read all records back, in order; malformed lines name their line number."""
+    """Read all records back, in order; malformed lines name their line number.
+
+    Only records records_from_report could write pass (typed fields, its name
+    combinations, a prime p).  One json.loads parses each batch of lines, and
+    a batch that fails is parsed again line by line to name its bad line.
+    """
     out: list[ResultRecord] = []
+    primes: dict[int, int] = {}
+    stamps: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(f"line {lineno}: not valid JSON ({exc.msg})")
-            if not isinstance(raw, dict):
-                raise MalformedRecordError(f"line {lineno}: record is not an object")
-            version = raw.get("schema_version")
-            if type(version) is not int or version != SCHEMA_VERSION:  # true == 1 in Python
-                raise MalformedRecordError(f"line {lineno}: unsupported schema_version {version!r}")
-            if set(raw) != set(_RECORD_FIELDS):
-                raise MalformedRecordError(f"line {lineno}: unexpected record fields")
-            problem = _field_problem(raw)
-            if problem:
-                raise MalformedRecordError(f"line {lineno}: {problem}")
-            out.append(ResultRecord(**raw))
+        numbered = ((n, line) for n, line in enumerate(fh, start=1) if not line.isspace())
+        while batch := [item for _, item in zip(range(_BATCH_LINES), numbered)]:
+            lines = [line for _, line in batch]
+            try:  # a valid record cannot span lines that all start with "{"
+                if all(line.lstrip().startswith("{") for line in lines):
+                    values = json.loads(f"[{','.join(lines)}]")
+                    if len(values) == len(batch):
+                        out += [_record(raw, primes, stamps) for raw in values]
+                        continue
+            except (ValueError, RecursionError, MalformedRecordError):  # ValueError: bad JSON
+                pass
+            for lineno, line in batch:
+                try:
+                    out.append(_record(json.loads(line), primes, stamps))
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecordError(f"line {lineno}: not valid JSON ({exc.msg})")
+                except MalformedRecordError as exc:
+                    raise MalformedRecordError(f"line {lineno}: {exc}") from None
     return out

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dlcensus import cli
+from dlcensus import cli, report
 from dlcensus.cli import dispatch
 from dlcensus.errors import InvalidInputError
 from dlcensus.report import read_records
@@ -219,6 +219,20 @@ class TestSweep:
         records = read_records(out_file)
         assert {r.p for r in records} == {5, 7, 11}
         assert len(records) == 3 * (16 + 48 + 60)
+
+    def test_one_append_per_prime(self, capsys, tmp_path, monkeypatch):
+        sizes = []
+
+        def counted(path, records):
+            sizes.append(len(records))
+            append(path, records)
+
+        append = report.append_records
+        monkeypatch.setattr(report, "append_records", counted)
+        code, _, _ = run(capsys, "sweep", "--start", "5", "--count", "3",
+                         "--out", str(tmp_path / "sweep.jsonl"))
+        assert code == 0
+        assert sizes == [16 + 48 + 60] * 3
 
     def test_bad_start_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--start", "1", "--count", "1",

@@ -4,7 +4,8 @@ import pytest
 
 from dlcensus.census import Equation
 from dlcensus.errors import InvalidInputError
-from dlcensus.numtheory import factorize, is_prime, prime_context
+from dlcensus.numtheory import divisors_with_phi, factorize, is_prime, prime_context
+from dlcensus import predictor
 from dlcensus.predictor import (
     FormulaId,
     formula_value,
@@ -39,7 +40,21 @@ class TestFormulaValue:
             formula_value(FormulaId.NONE, CTX)
 
 
+def ha_sum_reference(n: int) -> Fraction:
+    """The double divisor sum as written, term by term in Fractions."""
+    phi = dict(divisors_with_phi(factorize(n)))
+    total = Fraction(0)
+    for m in phi:
+        inner = sum((Fraction(phi[d * m], d) for d in phi if (n // m) % d == 0), Fraction(0))
+        total += Fraction(phi[m], m * m) * inner * inner
+    return total
+
+
 class TestHaSumForm:
+    def test_integer_form_equals_fraction_sum(self):
+        for n in [*range(1, 3001), 1108800, 1178100]:
+            assert ha_sum_form(factorize(n)) == ha_sum_reference(n), n
+
     def test_hand_expanded_n4(self):
         # m=1: (phi(1)+phi(2)/2+phi(4)/4)^2 = 4; m=2: (1/4)(phi(2)+phi(4)/2)^2 = 1;
         # m=4: (2/16) phi(4)^2 = 1/2
@@ -108,6 +123,21 @@ class TestPredictMatrix:
         assert pm.cell(ANY, PR)[0] is FormulaId.PHI2_N
         assert pm.cell(RPPR, RPPR)[0] is FormulaId.PHI3_N2
         assert pm.predicted_part == "total"
+
+    def test_each_distinct_formula_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def counted(formula, ctx):
+            calls.append(formula)
+            return value_of(formula, ctx)
+
+        value_of = predictor.formula_value
+        monkeypatch.setattr(predictor, "formula_value", counted)
+        for eq in Equation:
+            calls.clear()
+            pm = predict_matrix(eq, CTX)
+            assert sorted(f.value for f in calls) == sorted(
+                {f.value for row in pm.formulas for f in row} - {"none"})
 
     def test_ha_grid_symmetric(self):
         pm = predict_matrix(Equation.HA, CTX)

@@ -1,11 +1,23 @@
 import csv
+import dataclasses
 import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dlcensus.census import Equation, build_ha_buckets, count_fp, count_ha, count_tc
+from dlcensus.census import (
+    Equation,
+    build_ha_buckets,
+    census_all,
+    count_fp,
+    count_ha,
+    count_tc,
+)
 from dlcensus.errors import InvalidInputError, MalformedRecordError
 from dlcensus.numtheory import prime_context
 from dlcensus.predictor import predict_matrix
@@ -24,6 +36,38 @@ from dlcensus.report import (
 from dlcensus.residue_tables import CLASSES, build_tables, class_counts
 
 ANY, PR, RP, RPPR = CLASSES
+
+bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _comparison_records(p: int, timestamp: str = "t") -> list[ResultRecord]:
+    """The records of a full comparison at p: one per written name combination."""
+    tables = build_tables(p)
+    observed, ctx, counts = census_all(tables), prime_context(p), class_counts(tables)
+    return [record for eq in Equation for record in records_from_report(
+        compare(observed[eq], predict_matrix(eq, ctx), counts), timestamp)]
+
+
+def _record_lines(count: int) -> list[str]:
+    """count distinct valid record lines."""
+    return [ResultRecord(13, "fp", "total", "ANY", "ANY", k, None, None, "t").to_json_line()
+            for k in range(count)]
+
+
+# Strings with quotes, backslashes, control and non-ASCII characters.
+texts = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600a') | st.characters())
+big_ints = st.integers(-2**200, 2**200)
+predictions = st.none() | st.tuples(big_ints, st.integers(1, 2**200))
+any_records = st.builds(
+    ResultRecord, p=big_ints, equation=texts, part=texts, row_class=texts, col_class=texts,
+    observed=big_ints, predicted_num=st.none() | big_ints, predicted_den=st.none() | big_ints,
+    timestamp=texts, schema_version=big_ints)
+valid_records = st.builds(
+    lambda template, p, observed, predicted, timestamp: dataclasses.replace(
+        template, p=p, observed=observed, predicted_num=predicted and predicted[0],
+        predicted_den=predicted and predicted[1], timestamp=timestamp),
+    st.sampled_from(_comparison_records(13)), st.sampled_from([2, 13, 1000003, 2**61 - 1]),
+    st.integers(0, 2**200), predictions, texts)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +144,23 @@ class TestCompare:
         other = prime_context(11)
         with pytest.raises(InvalidInputError):
             compare(p13["fp"], predict_matrix(Equation.FP, other), p13["counts"])
+
+    @bounded
+    @given(st.integers(0, 2**200), st.integers(1, 2**200), st.integers(1, 2**200))
+    @example(0, 1, 1)
+    @example(0, 2**200, 3)
+    @example(2**200, 1, 2**200 - 1)
+    def test_int_true_division_matches_fraction(self, observed, num, den):
+        assert observed * den / num == float(Fraction(observed) / Fraction(num, den))
+
+    @bounded
+    @given(st.integers(1, 2**200), st.integers(1, 2**200))
+    def test_ratio_of_any_prediction(self, p13, num, den):
+        pm = predict_matrix(Equation.FP, p13["ctx"])
+        value = Fraction(num, den)
+        pm = dataclasses.replace(pm, values=tuple((value,) * len(row) for row in pm.values))
+        for cell in compare(p13["fp"], pm, p13["counts"]).cells:
+            assert cell.ratio == float(Fraction(cell.observed) / value)
 
     def test_compare_is_pure(self, p13):
         pm = predict_matrix(Equation.HA, p13["ctx"])
@@ -235,13 +296,17 @@ class TestPersistence:
         ("predicted_num", None), ("predicted_den", None), ("schema_version", True),
         ("equation", "zz"), ("equation", "FP"), ("part", "bogus"), ("row_class", "NOPE"),
         ("row_class", "any"), ("col_class", "ORD"), ("observed", -6),
+        ("p", -5), ("p", 8), ("row_class", "ORD"),
+        pytest.param("row_class", {"equation": "ha", "row_class": "ORD"}, id="row_class-ha-ORD"),
+        ("part", "trivial"),
     ])
     def test_wrong_field_type_rejected(self, tmp_path, field, value):
         raw = {"schema_version": 1, "p": 7, "equation": "fp", "part": "total",
                "row_class": "ANY", "col_class": "ANY", "observed": 6,
                "predicted_num": 6, "predicted_den": 1, "timestamp": "t"}
+        changed = value if isinstance(value, dict) else {field: value}
         path = tmp_path / "typed.jsonl"
-        path.write_text(json.dumps(raw) + "\n" + json.dumps({**raw, field: value}) + "\n")
+        path.write_text(json.dumps(raw) + "\n" + json.dumps({**raw, **changed}) + "\n")
         with pytest.raises(MalformedRecordError, match=f"line 2: .*{field}"):
             read_records(path)
 
@@ -249,4 +314,92 @@ class TestPersistence:
         path = tmp_path / "short.jsonl"
         path.write_text(json.dumps({"schema_version": 1, "p": 7}) + "\n")
         with pytest.raises(MalformedRecordError, match="line 1"):
+            read_records(path)
+
+
+class TestRecordLines:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(any_records)
+    @example(ResultRecord(2**100, 'q"uo\\te', "\x00\x1f", "\u00e9\u2028", "\U0001f600", -1,
+                          None, -(2**200), '2026-01-01T00:00:00+00:00"\n', 1))
+    def test_line_is_json_dumps(self, record):
+        fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+        assert record.to_json_line() == json.dumps(fields, sort_keys=True,
+                                                   separators=(",", ":"))
+
+    @bounded
+    @given(st.lists(valid_records, max_size=30))
+    def test_records_survive_the_round_trip(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.jsonl"
+            append_records(path, records)
+            assert read_records(path) == records
+
+    def test_read_back_records_are_frozen_and_share_values(self, tmp_path):
+        records = _comparison_records(13, "2026-01-01T00:00:00+00:00")
+        path = tmp_path / "records.jsonl"
+        append_records(path, records)
+        back = read_records(path)
+        assert back == records
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            back[0].observed = 1
+        assert back[0].timestamp is back[-1].timestamp
+        assert back[0].equation is back[1].equation
+
+
+class TestBatchedReader:
+    @pytest.mark.parametrize("position", [1, 1024, 1025, 2048, 2049, 2500])
+    @pytest.mark.parametrize("bad, message", [
+        ("{not json", "not valid JSON"),
+        ('{"schema_version": 1}', "unexpected record fields"),
+        ("[1, 2]", "record is not an object"),
+    ])
+    def test_bad_line_names_its_line(self, tmp_path, position, bad, message):
+        lines = _record_lines(2500)
+        lines[position - 1] = bad
+        path = tmp_path / "records.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecordError, match=f"^line {position}: {message}"):
+            read_records(path)
+
+    def test_first_bad_line_of_a_batch_is_named(self, tmp_path):
+        lines = _record_lines(1500)
+        lines[1099] = lines[1099].replace('"p":13', '"p":8')
+        lines[1199] = "{not json"
+        path = tmp_path / "records.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecordError, match="^line 1100: p must be a prime"):
+            read_records(path)
+
+    def test_blank_lines_keep_line_numbers(self, tmp_path):
+        lines = []
+        for line in _record_lines(1200):
+            lines += [line, "", "  \t "] if len(lines) % 5 == 0 else [line]
+        path = tmp_path / "records.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert [r.observed for r in read_records(path)] == list(range(1200))
+        position = max(i for i, line in enumerate(lines) if line.strip()) - 3
+        assert lines[position - 1].strip()
+        lines[position - 1] = "{not json"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecordError, match=f"^line {position}: "):
+            read_records(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("{line}, {line}", "not valid JSON"),
+        ("[{line}]", "record is not an object"),
+    ])
+    def test_one_object_per_line(self, tmp_path, line, message):
+        first, second = _record_lines(2)
+        path = tmp_path / "records.jsonl"
+        path.write_text(first + "\n" + line.format(line=second) + "\n")
+        with pytest.raises(MalformedRecordError, match=f"^line 2: {message}"):
+            read_records(path)
+
+    def test_record_split_across_lines_rejected(self, tmp_path):
+        first, second, third = _record_lines(3)
+        head, tail = first.split(',"p":')
+        path = tmp_path / "records.jsonl"
+        path.write_text(f'{head}\n"p":{tail}\n{second}, {third}\n')
+        with pytest.raises(MalformedRecordError, match="^line 1: not valid JSON"):
             read_records(path)
