@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Time and memory of each census stage, written to ``BENCH_<tag>.json``.
+
+    PYTHONPATH=src python3 bench/stages.py --tag NAME [--repeat K]
+        [--primes P ...] [--workers W ...] [--out-dir DIR]
+
+For every prime and worker count it runs the library stages in pipeline
+order: ``build_tables``, ``build_ha_buckets``, ``count_fp``, ``count_ha`` and
+``count_tc``.  Only the three counters take the worker count; the first two
+stages always run on one thread.
+
+* ``seconds``: ``perf_counter`` time of the stage, the minimum over ``K``
+  untraced runs of the whole pipeline.
+* ``peak_bytes_per_residue``: the ``tracemalloc`` peak while the stage runs,
+  above what was traced when it started (so what earlier stages retain is
+  not counted), over p; from one extra traced run.
+* ``retained_bytes_per_residue``: what the stage's result keeps, over p.
+
+``total_s`` is the sum of the stage minima.  The file also records the
+interpreter, numpy version and usable CPU count, since the numbers only compare
+between runs on one machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import platform
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+from dlcensus.census import build_ha_buckets, count_fp, count_ha, count_tc, usable_cpus
+from dlcensus.residue_tables import build_tables
+
+PRIMES = (1000003, 1108801, 10000019)
+WORKERS = (1, 2)
+STAGES = ("build_tables", "build_ha_buckets", "count_fp", "count_ha", "count_tc")
+
+
+def pipeline(p: int, workers: int):
+    """Yield (stage name, thunk) in order; each thunk runs one stage."""
+    state = {}
+    yield "build_tables", lambda: state.setdefault("t", build_tables(p))
+    yield "build_ha_buckets", lambda: state.setdefault("b", build_ha_buckets(state["t"]))
+    yield "count_fp", lambda: state.setdefault("fp", count_fp(state["t"], workers))
+    yield "count_ha", lambda: count_ha(state["b"], state["t"], workers)
+    yield "count_tc", lambda: count_tc(state["b"], state["t"], state["fp"], workers)
+
+
+def timed_run(p: int, workers: int) -> dict[str, float]:
+    seconds = {}
+    for name, stage in pipeline(p, workers):
+        start = time.perf_counter()
+        stage()
+        seconds[name] = time.perf_counter() - start
+    return seconds
+
+
+def traced_run(p: int, workers: int) -> dict[str, tuple[float, float]]:
+    """(peak, retained) bytes per residue of each stage."""
+    memory = {}
+    tracemalloc.start()
+    try:
+        for name, stage in pipeline(p, workers):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = stage()
+            current, peak = tracemalloc.get_traced_memory()
+            memory[name] = ((peak - before) / p, (current - before) / p)
+            del result
+    finally:
+        tracemalloc.stop()
+    return memory
+
+
+def measure(p: int, workers: int, repeat: int) -> dict:
+    runs = []
+    for _ in range(repeat):
+        runs.append(timed_run(p, workers))
+        gc.collect()
+    memory = traced_run(p, workers)
+    gc.collect()
+    stages = {name: {"seconds": round(min(run[name] for run in runs), 4),
+                     "peak_bytes_per_residue": round(memory[name][0], 2),
+                     "retained_bytes_per_residue": round(memory[name][1], 2)}
+              for name in STAGES}
+    return {"p": p, "workers": workers, "repeat": repeat,
+            "total_s": round(sum(s["seconds"] for s in stages.values()), 4),
+            "stages": stages}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tag", required=True)
+    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--primes", type=int, nargs="+", default=list(PRIMES))
+    parser.add_argument("--workers", type=int, nargs="+", default=list(WORKERS))
+    parser.add_argument("--out-dir", type=Path, default=Path("."))
+    args = parser.parse_args(argv)
+    if args.repeat < 1 or min(args.workers) < 1:
+        parser.error("--repeat and --workers must be >= 1")
+
+    results = []
+    for p in args.primes:
+        for workers in args.workers:
+            row = measure(p, workers, args.repeat)
+            print(f"p={p} workers={workers} total={row['total_s']:.3f}s "
+                  + " ".join(f"{name}={s['seconds']:.3f}s/{s['peak_bytes_per_residue']:.1f}B"
+                             for name, s in row["stages"].items()), file=sys.stderr)
+            results.append(row)
+    document = {"tag": args.tag, "python": platform.python_version(),
+                "numpy": np.__version__, "cpus": usable_cpus(), "results": results}
+    path = args.out_dir / f"BENCH_{args.tag}.json"
+    path.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

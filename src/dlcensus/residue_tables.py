@@ -11,7 +11,10 @@ between any number of readers.
 Every modulus the census meets is a divisor of n, so its modular inverses are
 tabulated once per prime: inv[x] inverts x/d modulo n/d where d = gcd(x, n),
 and div_index[x] names d.  Together they retain about 6 B per residue (uint32
-inv, uint16 div_index).
+inv, uint16 div_index).  Both come from one pass over fixed slices of
+residues: div_index by sieving the prime powers of n into a mixed-radix code
+of d, then ranking the codes; inv as (x/d)^(lambda(n)-1) mod n, powered with
+the scalar modulus n and reduced mod n/d at the end.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .errors import InvalidInputError, InvariantViolation
 from .numtheory import (
     Factored,
     carmichael,
-    divisors,
     euler_phi,
     factorize,
     is_prime,
@@ -34,6 +36,8 @@ from .numtheory import (
 )
 
 DEFAULT_PRIME_LIMIT = 1 << 31
+#: Residues per slice of the divisor-table pass; its buffers stay in cache.
+_SLICE = 1 << 16
 
 
 class ConditionClass(enum.Enum):
@@ -88,7 +92,8 @@ class ResidueTables:
 
     divisors lists the divisors of n ascending.  For x in [0, n], with
     d = gcd(x, n) (so d = n at x = 0), div_index[x] is the position of d in
-    divisors and inv[x] = (x/d)^-1 mod n/d (0 when n/d = 1).
+    divisors and inv[x] = (x/d)^-1 mod n/d (0 when n/d = 1), computed as
+    (x/d)^(lambda(n)-1) mod n reduced mod n/d, since lambda(n/d) | lambda(n).
     """
 
     p: int
@@ -111,17 +116,18 @@ class ResidueTables:
 
 @dataclass(frozen=True)
 class ClassCounts:
-    """Residue counts per condition class and per pairwise intersection."""
+    """Residue counts per condition class and per pairwise intersection:
+    intersections[i, j] counts the residues in both CLASSES[i] and CLASSES[j]."""
 
     p: int
     combo_counts: np.ndarray  # int64, length 4
+    intersections: np.ndarray  # int64, 4x4, class x class
 
     def count(self, cls: ConditionClass) -> int:
-        return int(sum(self.combo_counts[c] for c in CLASS_COMBOS[cls]))
+        return self.intersection(cls, cls)
 
     def intersection(self, a: ConditionClass, b: ConditionClass) -> int:
-        shared = set(CLASS_COMBOS[a]) & set(CLASS_COMBOS[b])
-        return int(sum(self.combo_counts[c] for c in shared))
+        return int(self.intersections[CLASSES.index(a), CLASSES.index(b)])
 
 
 def build_tables(p: int) -> ResidueTables:
@@ -153,15 +159,7 @@ def build_tables(p: int) -> ResidueTables:
     ind = np.zeros(p, dtype=np.uint32)
     ind[pow_table] = np.arange(n, dtype=np.uint32)
 
-    # gcd(x, n) for x in [0, n] by sieving each prime power of n.
-    divs = np.array(divisors(factors), dtype=np.int64)
-    gcd_n = np.ones(p, dtype=np.int64)
-    for q, alpha in factors:
-        for beta in range(1, alpha + 1):
-            gcd_n[::q**beta] *= q
-    div_index = np.searchsorted(divs, gcd_n).astype(np.uint16)
-    inv = _inverse_table(gcd_n, carmichael(factors), n)
-
+    divs, div_index, inv = _divisor_tables(factors, p)
     pr = div_index[ind] == 0
     rp = div_index == 0
     combo = (pr.astype(np.uint8) + 2 * rp.astype(np.uint8))
@@ -174,28 +172,56 @@ def build_tables(p: int) -> ResidueTables:
                          div_index=div_index, inv=inv)
 
 
-def _inverse_table(gcd_n: np.ndarray, lam: int, n: int) -> np.ndarray:
-    """(x/d)^-1 mod n/d for every x, where d = gcd_n[x] = gcd(x, n).
+def _divisor_tables(factors: Factored, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """divisors, div_index and inv for x in [0, p-1], in one pass over slices.
 
-    x/d is a unit mod n/d, and n/d divides n, so x/d raised to lam - 1 with
-    lam = carmichael(n) is its inverse; products stay below n^2 < 2^62.
+    div_index: each prime power of n is sieved into a mixed-radix code of
+    d = gcd(x, n) (first prime least significant; by_code lists the divisors
+    in code order), and each code is then replaced by the rank of its divisor.
+    inv: y = x/d is a unit mod n/d, and n/d divides n, so lambda(n/d) divides
+    lam = carmichael(n) and y^(lam-1) mod n, reduced mod n/d, inverts y.  The
+    power runs with the scalar modulus n, where numpy's floor-divide is several
+    times cheaper than %; products stay below n^2 < 2^62.
     """
-    modulus = n // gcd_n
-    base = np.arange(len(gcd_n), dtype=np.int64) // gcd_n % modulus
-    result = np.ones_like(base)
-    exponent = lam - 1
-    while exponent:
-        if exponent & 1:
-            result = result * base % modulus
-        base = base * base % modulus
-        exponent >>= 1
-    return (result % modulus).astype(np.uint32)
+    n = p - 1
+    by_code = np.ones(1, dtype=np.uint64)
+    div_index = np.zeros(p, dtype=np.uint16)
+    for q, alpha in factors:
+        for beta in range(1, alpha + 1):
+            div_index[::q**beta] += len(by_code)
+        by_code = np.outer(q ** np.arange(alpha + 1, dtype=np.uint64), by_code).ravel()
+    divs = np.sort(by_code)
+    rank = np.searchsorted(divs, by_code).astype(np.uint16)
+
+    # result starts at y, so only the bits of lambda(n) - 1 after its leading 1
+    # remain; for n <= 2, lambda(n) - 1 = 0 and y is its own inverse mod n/d.
+    bits = bin(carmichael(factors) - 1)[3:]
+    cofactors = n // by_code
+    inv = np.empty(p, dtype=np.uint32)
+    for start in range(0, p, _SLICE):
+        stop = min(start + _SLICE, p)
+        code = div_index[start:stop].astype(np.intp)  # numpy gathers fastest by intp
+        div_index[start:stop] = rank[code]
+        base = np.arange(start, stop, dtype=np.uint64) // by_code[code]
+        result, scratch = base.copy(), np.empty_like(base)
+        for bit in bits:
+            _mul_mod(result, result, n, scratch)
+            if bit == "1":
+                _mul_mod(result, base, n, scratch)
+        inv[start:stop] = result % cofactors[code]
+    return divs.astype(np.int64), div_index, inv
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, n: int, scratch: np.ndarray) -> None:
+    """a = a * b mod n in place, for a, b < n < 2^31 (uint64)."""
+    a *= b
+    a -= np.multiply(np.floor_divide(a, n, out=scratch), n, out=scratch)
 
 
 def class_counts(t: ResidueTables) -> ClassCounts:
     """Global class and intersection counts; |PR| = |RP| = phi(n) by construction."""
     counts = np.bincount(t.combo[1:], minlength=4).astype(np.int64)
-    cc = ClassCounts(p=t.p, combo_counts=counts)
+    cc = ClassCounts(p=t.p, combo_counts=counts, intersections=class_matrix(np.diag(counts)))
     phi = euler_phi(t.factors)
     if cc.count(ConditionClass.PR) != phi or cc.count(ConditionClass.RP) != phi:
         raise InvariantViolation(f"PR/RP counts disagree with phi({t.n})")

@@ -1,0 +1,29 @@
+"""Smoke test of the stage bench script: it runs every stage at a small prime
+and writes a BENCH file with one row per prime and worker count."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STAGES = ("build_tables", "build_ha_buckets", "count_fp", "count_ha", "count_tc")
+
+
+def test_stages_writes_bench_file(tmp_path):
+    env = dict(os.environ, PYTHONPATH="src")
+    result = subprocess.run(
+        [sys.executable, "bench/stages.py", "--tag", "smoke", "--repeat", "1",
+         "--primes", "10007", "--workers", "1", "2", "--out-dir", str(tmp_path)],
+        cwd=ROOT, env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode()
+    document = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert document["tag"] == "smoke"
+    rows = document["results"]
+    assert [(row["p"], row["workers"]) for row in rows] == [(10007, 1), (10007, 2)]
+    for row in rows:
+        assert tuple(row["stages"]) == STAGES
+        for stage in row["stages"].values():
+            assert stage["seconds"] >= 0 and stage["peak_bytes_per_residue"] > 0
+        assert row["stages"]["build_tables"]["retained_bytes_per_residue"] >= 15

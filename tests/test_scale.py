@@ -4,6 +4,7 @@ vectorized over all residues.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from dlcensus.residue_tables import build_tables, class_matrix, class_vector
 
 # n = 2*3*166667 (few divisors) and n = 2^6*3^2*5^2*7*11 (252 divisors).
 SCALE_PRIMES = (1000003, 1108801)
+# n = 2^16: lambda(n) = 2^14 < phi(n), so the unit group mod n is not cyclic.
+TABLE_PRIMES = (65537, *SCALE_PRIMES)
 
 
 def power_mod(base, exponent, p):
@@ -60,3 +63,29 @@ def test_ha_total_matches_self_power_bincount(p):
     t = build_tables(p)
     ha = count_ha(build_ha_buckets(t), t)
     assert np.array_equal(ha.part("total"), class_matrix(per_value.T @ per_value))
+
+
+@pytest.mark.parametrize("p", TABLE_PRIMES)
+def test_divisor_and_inverse_tables(p):
+    """div_index names d = gcd(x, n) and inv[x] inverts x/d mod n/d, for every x."""
+    t = build_tables(p)
+    n = t.n
+    x = np.arange(p, dtype=np.int64)
+    d = np.gcd(x, n)  # gcd(0, n) = n
+    assert np.array_equal(t.divisors[t.div_index], d)
+    modulus = n // d
+    assert np.all(t.inv < np.maximum(modulus, 1))
+    assert np.array_equal((x // d) * t.inv.astype(np.int64) % modulus, 1 % modulus)
+
+
+def test_build_tables_peak_memory():
+    """Building the tables, which retain 15 B/residue, peaks at no more than
+    30 B/residue under tracemalloc."""
+    p = SCALE_PRIMES[0]
+    tracemalloc.start()
+    try:
+        build_tables(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / p <= 30
