@@ -16,7 +16,12 @@ stages always run on one thread.
   not counted), over p; from one extra traced run.
 * ``retained_bytes_per_residue``: what the stage's result keeps, over p.
 
-``total_s`` is the sum of the stage minima.  The file also records the
+``total_s`` is the sum of the stage minima.  ``child_peak_rss_mib`` is the
+peak resident set (``ru_maxrss``) of a child process running
+``dlcensus.cli compare --prime P --threads W`` on the same ``dlcensus``
+package, interpreter and numpy included; it is what the CLI's memory
+preflight must cover.  The children run before any stage, while this process
+is still smaller than each of them.  The file also records the
 interpreter, numpy version and usable CPU count, since the numbers only compare
 between runs on one machine.
 """
@@ -26,7 +31,9 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import platform
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -34,10 +41,11 @@ from pathlib import Path
 
 import numpy as np
 
+import dlcensus
 from dlcensus.census import build_ha_buckets, count_fp, count_ha, count_tc, usable_cpus
 from dlcensus.residue_tables import build_tables
 
-PRIMES = (1000003, 1108801, 10000019)
+PRIMES = (1000003, 1108801, 10000019, 30000001)
 WORKERS = (1, 2)
 STAGES = ("build_tables", "build_ha_buckets", "count_fp", "count_ha", "count_tc")
 
@@ -78,7 +86,20 @@ def traced_run(p: int, workers: int) -> dict[str, tuple[float, float]]:
     return memory
 
 
-def measure(p: int, workers: int, repeat: int) -> dict:
+def child_peak_rss_mib(p: int, workers: int) -> float:
+    """ru_maxrss of a child `compare --prime p --threads workers`, in MiB."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dlcensus.__file__).resolve().parent.parent))
+    command = [sys.executable, "-m", "dlcensus.cli", "compare", "--prime", str(p),
+               "--threads", str(workers)]
+    with subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL) as child:
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode != 0:
+        raise RuntimeError(f"{' '.join(command)} exited with {child.returncode}")
+    return usage.ru_maxrss / 1024  # KiB on Linux
+
+
+def measure(p: int, workers: int, repeat: int, child_rss_mib: float) -> dict:
     runs = []
     for _ in range(repeat):
         runs.append(timed_run(p, workers))
@@ -91,6 +112,7 @@ def measure(p: int, workers: int, repeat: int) -> dict:
               for name in STAGES}
     return {"p": p, "workers": workers, "repeat": repeat,
             "total_s": round(sum(s["seconds"] for s in stages.values()), 4),
+            "child_peak_rss_mib": round(child_rss_mib, 1),
             "stages": stages}
 
 
@@ -105,11 +127,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeat < 1 or min(args.workers) < 1:
         parser.error("--repeat and --workers must be >= 1")
 
+    # The children run first: a child's ru_maxrss starts from the resident size
+    # of this process when it spawns, which the in-process stages raise.
+    rss = {(p, workers): child_peak_rss_mib(p, workers)
+           for p in args.primes for workers in args.workers}
     results = []
     for p in args.primes:
         for workers in args.workers:
-            row = measure(p, workers, args.repeat)
+            row = measure(p, workers, args.repeat, rss[p, workers])
             print(f"p={p} workers={workers} total={row['total_s']:.3f}s "
+                  f"rss={row['child_peak_rss_mib']:.0f}MiB "
                   + " ".join(f"{name}={s['seconds']:.3f}s/{s['peak_bytes_per_residue']:.1f}B"
                              for name, s in row["stages"].items()), file=sys.stderr)
             results.append(row)

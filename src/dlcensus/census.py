@@ -56,11 +56,12 @@ from .residue_tables import (
 )
 
 # In-bucket pairs h <= a (tc), residues (fp) or buckets (ha) per vectorized
-# chunk.  A chunk's transient arrays take about 75-115 B per pair in tc, 75 B
-# per residue in fp and 64 B per bucket in ha (tracemalloc at p = 1000003 and
-# 1108801), at most about 15 MB per worker at any p; 2^16-2^18 ran equally
+# chunk.  At 2^16 a chunk's transient arrays peak at about 8.5 MB per worker
+# in tc (up to 130 B per pair), 5 MB in fp (75 B per residue) and 2 MB in ha
+# (32 B per bucket), by tracemalloc at p = 1000003, 1108801 and 10000019; a
+# tc chunk that is one bucket of more pairs takes more.  2^16-2^18 ran equally
 # fast at p ~ 10^6, and larger chunks raised the peak.
-_CHUNK = 1 << 17
+_CHUNK = 1 << 16
 
 
 class Equation(enum.Enum):
@@ -145,14 +146,16 @@ class HaBuckets:
 
     (h, a) solves h^h = a^a (mod p) iff key(h) = key(a).  members lists the
     residues ordered by key; bucket i occupies members[offsets[i]:offsets[i+1]]
-    and combo_counts[i] tallies its residues per PR/RP combo.
+    and combo_counts[i] tallies its residues per PR/RP combo.  A bucket holds
+    at most 65535 residues, so its combo counts fit uint16, and offsets fit
+    uint32 because p < 2^32.
     """
 
     p: int
     n: int
     members: np.ndarray  # uint32, length n
-    offsets: np.ndarray  # int64, length num_buckets + 1
-    combo_counts: np.ndarray  # uint16, num_buckets x 4
+    offsets: np.ndarray  # uint32, length num_buckets + 1
+    combo_counts: np.ndarray  # uint16, num_buckets x 4, from 16-bit lane sums
 
     @property
     def num_buckets(self) -> int:
@@ -224,31 +227,42 @@ def build_ha_buckets(t: ResidueTables) -> HaBuckets:
     One in-place sort of the packed values (key << 32) | x orders residues by
     key and, within a bucket, ascending.  Key and x each need 32 bits, so
     this requires p < 2^32, which the table limit of 2^31 ensures.
+
+    combo_counts comes from one uint64 sum per bucket of four 16-bit lanes,
+    one per combo; a bucket of at most 65535 members carries no lane into
+    the next.
     """
     n = t.n
     packed = np.arange(1, t.p, dtype=np.uint64)
     packed *= t.ind[1:]
     packed %= n
     packed <<= 32
-    packed |= np.arange(1, t.p, dtype=np.uint64)
+    packed |= np.arange(1, t.p, dtype=np.uint32)
     packed.sort()
     members = packed.astype(np.uint32)  # the low 32 bits
     packed >>= 32  # now the sorted keys
     starts = np.empty(n + 1, dtype=bool)  # a bucket starts at each key change
     starts[0] = starts[n] = True
     np.not_equal(packed[1:], packed[:-1], out=starts[1:n])
-    offsets = np.flatnonzero(starts)
+    del packed
+    offsets = np.flatnonzero(starts).astype(np.uint32)
+    del starts
     largest = int(np.diff(offsets).max())
     if largest > np.iinfo(np.uint16).max:
         raise InvalidInputError(
             f"p={t.p} has a key bucket of {largest} residues; combo counts hold at most 65535")
-    # Reuse the buffer for bucket id * 4 + combo of each member.
-    packed[0] = 0
-    np.cumsum(starts[1:n], dtype=np.uint64, out=packed[1:])
-    packed <<= 2
-    packed |= t.combo[members]
-    combo_counts = np.bincount(packed.view(np.int64), minlength=4 * (len(offsets) - 1)
-                               ).reshape(-1, 4).astype(np.uint16)
+    # A member of combo c adds 1 << 16*c to its bucket's sum.  The sums are
+    # differences of one prefix sum at the bucket bounds: it wraps mod 2^64,
+    # but each bucket's own sum is below 2^64 and exact.
+    lanes = np.zeros(n + 1, dtype=np.uint64)
+    np.left_shift(np.uint64(1), t.combo[members] * np.uint8(16), out=lanes[1:])
+    np.cumsum(lanes, out=lanes)
+    at_bounds = lanes[offsets]
+    del lanes
+    # Reading the lanes as little-endian uint16 makes the layout hold on any
+    # host; on a little-endian one neither astype copies.
+    combo_counts = (np.diff(at_bounds).astype("<u8", copy=False).view("<u2").reshape(-1, 4)
+                    .astype(np.uint16, copy=False))
     for arr in (members, offsets, combo_counts):
         arr.setflags(write=False)
     return HaBuckets(p=t.p, n=n, members=members, offsets=offsets,
@@ -367,11 +381,16 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
     sizes = np.diff(offsets)
     # Chunks are runs of whole buckets holding at most _CHUNK pairs h <= a,
     # or one bucket that alone holds more.
-    pair_cum = np.concatenate([[0], np.cumsum(sizes * (sizes + 1) // 2)])
+    pair_cum = np.zeros(b.num_buckets + 1, dtype=np.int64)
+    np.add(sizes, 1, out=pair_cum[1:])
+    pair_cum[1:] *= sizes
+    pair_cum >>= 1
+    np.cumsum(pair_cum, out=pair_cum)
     bounds = [0]
     while bounds[-1] < b.num_buckets:
         stop = int(np.searchsorted(pair_cum, pair_cum[bounds[-1]] + _CHUNK, "right")) - 1
         bounds.append(max(stop, bounds[-1] + 1))
+    del pair_cum
 
     def tally_chunk(lo: int, hi: int) -> np.ndarray:
         """128 bins over the pairs h <= a of buckets [lo, hi):

@@ -220,7 +220,8 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, n: int, scratch: np.ndarray) -> None:
 
 def class_counts(t: ResidueTables) -> ClassCounts:
     """Global class and intersection counts; |PR| = |RP| = phi(n) by construction."""
-    counts = np.bincount(t.combo[1:], minlength=4).astype(np.int64)
+    # One combo at a time: bincount would cast the combo table to intp.
+    counts = np.array([np.count_nonzero(t.combo[1:] == c) for c in range(4)], dtype=np.int64)
     cc = ClassCounts(p=t.p, combo_counts=counts, intersections=class_matrix(np.diag(counts)))
     phi = euler_phi(t.factors)
     if cc.count(ConditionClass.PR) != phi or cc.count(ConditionClass.RP) != phi:

@@ -27,3 +27,4 @@ def test_stages_writes_bench_file(tmp_path):
         for stage in row["stages"].values():
             assert stage["seconds"] >= 0 and stage["peak_bytes_per_residue"] > 0
         assert row["stages"]["build_tables"]["retained_bytes_per_residue"] >= 15
+        assert row["child_peak_rss_mib"] > 0

@@ -115,6 +115,22 @@ class TestHaBuckets:
         with pytest.raises(InvalidInputError, match="65535"):
             build_ha_buckets(tables)
 
+    @pytest.mark.parametrize("fill", [0, 1, 2, 3, "mixed"])
+    def test_full_bucket_combo_counts(self, fill):
+        # ind(1) = 1 gives residue 1 key 1; every other key x * 0 is 0, so
+        # residues 2..65536 fill one bucket of exactly 65535 members, the most
+        # a 16-bit combo lane holds without carrying into the next.
+        p = 65537
+        ind = np.zeros(p, dtype=np.uint32)
+        ind[1] = 1
+        x = np.arange(p)
+        combo = (x % 4 if fill == "mixed" else np.full(p, fill)).astype(np.uint8)
+        combo[1] = 3 - combo[2]  # the singleton bucket differs from the full one
+        b = build_ha_buckets(SimpleNamespace(p=p, n=p - 1, ind=ind, combo=combo))
+        assert b.offsets.tolist() == [0, 65535, 65536]
+        expected = [np.bincount(combo[2:], minlength=4), np.bincount(combo[1:2], minlength=4)]
+        assert b.combo_counts.tolist() == [row.tolist() for row in expected]
+
 
 class TestCountHa:
     def test_p7(self):

@@ -141,7 +141,7 @@ def test_buckets_match_stable_argsort(p):
     combo_counts = np.bincount(bucket_id * 4 + t.combo[members],
                                minlength=4 * (len(offsets) - 1)).reshape(-1, 4)
     expected = {"members": members,
-                "offsets": offsets.astype(np.int64),
+                "offsets": offsets.astype(np.uint32),
                 "combo_counts": combo_counts.astype(np.uint16)}
     for name, want in expected.items():
         got = getattr(b, name)

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dlcensus.census import build_ha_buckets, count_fp, count_ha
+from dlcensus.census import build_ha_buckets, census_all, count_fp, count_ha, count_tc
 from dlcensus.numtheory import factorize
 from dlcensus.residue_tables import build_tables, class_matrix, class_vector
 
@@ -89,3 +89,31 @@ def test_build_tables_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak / p <= 30
+
+
+def traced_peak(stage):
+    """stage()'s result and its tracemalloc peak above what was traced when it
+    started; tracing must be on."""
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    result = stage()
+    return result, tracemalloc.get_traced_memory()[1] - before
+
+
+def test_census_peak_memory():
+    """At p = 1000003 the bucket build peaks at no more than 24 B/residue above
+    the tables it starts from, a 1-worker count_tc at 18 above the tables and
+    buckets, and a whole census, tables included, at 45."""
+    p = SCALE_PRIMES[0]
+    tracemalloc.start()
+    try:
+        _, census_peak = traced_peak(lambda: census_all(build_tables(p), workers=1))
+        t = build_tables(p)
+        b, buckets_peak = traced_peak(lambda: build_ha_buckets(t))
+        fp = count_fp(t)
+        _, tc_peak = traced_peak(lambda: count_tc(b, t, fp, workers=1))
+    finally:
+        tracemalloc.stop()
+    assert buckets_peak / p <= 24
+    assert tc_peak / p <= 18
+    assert census_peak / p <= 45
