@@ -31,7 +31,6 @@ from .numtheory import (
     CongruenceSolution,
     Factored,
     PrimeContext,
-    divisors,
     divisors_with_phi,
     euler_phi,
     factorize,

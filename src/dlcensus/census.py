@@ -57,9 +57,10 @@ from .residue_tables import (
 
 # In-bucket pairs h <= a (tc), residues (fp) or buckets (ha) per vectorized
 # chunk.  At 2^16 a chunk's transient arrays peak at about 8.5 MB per worker
-# in tc (up to 130 B per pair), 5 MB in fp (75 B per residue) and 2 MB in ha
-# (32 B per bucket), by tracemalloc at p = 1000003, 1108801 and 10000019; a
-# tc chunk that is one bucket of more pairs takes more.  2^16-2^18 ran equally
+# in tc (up to 130 B per pair), 5 MB in fp (75 B per residue) and 3 MB in ha
+# (47 B per bucket, at about 2 members per bucket), by tracemalloc at
+# p = 1000003, 1108801 and 10000019; a tc chunk that is one bucket of more
+# pairs, or an ha chunk of larger buckets, takes more.  2^16-2^18 ran equally
 # fast at p ~ 10^6, and larger chunks raised the peak.
 _CHUNK = 1 << 16
 
@@ -145,17 +146,14 @@ class HaBuckets:
     """Residues grouped by key(x) = x*ind(x) mod n.
 
     (h, a) solves h^h = a^a (mod p) iff key(h) = key(a).  members lists the
-    residues ordered by key; bucket i occupies members[offsets[i]:offsets[i+1]]
-    and combo_counts[i] tallies its residues per PR/RP combo.  A bucket holds
-    at most 65535 residues, so its combo counts fit uint16, and offsets fit
-    uint32 because p < 2^32.
+    residues ordered by key; bucket i occupies members[offsets[i]:offsets[i+1]].
+    offsets fit uint32 because p < 2^32.
     """
 
     p: int
     n: int
     members: np.ndarray  # uint32, length n
     offsets: np.ndarray  # uint32, length num_buckets + 1
-    combo_counts: np.ndarray  # uint16, num_buckets x 4, from 16-bit lane sums
 
     @property
     def num_buckets(self) -> int:
@@ -227,10 +225,6 @@ def build_ha_buckets(t: ResidueTables) -> HaBuckets:
     One in-place sort of the packed values (key << 32) | x orders residues by
     key and, within a bucket, ascending.  Key and x each need 32 bits, so
     this requires p < 2^32, which the table limit of 2^31 ensures.
-
-    combo_counts comes from one uint64 sum per bucket of four 16-bit lanes,
-    one per combo; a bucket of at most 65535 members carries no lane into
-    the next.
     """
     n = t.n
     packed = np.arange(1, t.p, dtype=np.uint64)
@@ -246,48 +240,36 @@ def build_ha_buckets(t: ResidueTables) -> HaBuckets:
     np.not_equal(packed[1:], packed[:-1], out=starts[1:n])
     del packed
     offsets = np.flatnonzero(starts).astype(np.uint32)
-    del starts
-    largest = int(np.diff(offsets).max())
-    if largest > np.iinfo(np.uint16).max:
-        raise InvalidInputError(
-            f"p={t.p} has a key bucket of {largest} residues; combo counts hold at most 65535")
-    # A member of combo c adds 1 << 16*c to its bucket's sum.  The sums are
-    # differences of one prefix sum at the bucket bounds: it wraps mod 2^64,
-    # but each bucket's own sum is below 2^64 and exact.
-    lanes = np.zeros(n + 1, dtype=np.uint64)
-    np.left_shift(np.uint64(1), t.combo[members] * np.uint8(16), out=lanes[1:])
-    np.cumsum(lanes, out=lanes)
-    at_bounds = lanes[offsets]
-    del lanes
-    # Reading the lanes as little-endian uint16 makes the layout hold on any
-    # host; on a little-endian one neither astype copies.
-    combo_counts = (np.diff(at_bounds).astype("<u8", copy=False).view("<u2").reshape(-1, 4)
-                    .astype(np.uint16, copy=False))
-    for arr in (members, offsets, combo_counts):
-        arr.setflags(write=False)
-    return HaBuckets(p=t.p, n=n, members=members, offsets=offsets,
-                     combo_counts=combo_counts)
+    members.setflags(write=False)
+    offsets.setflags(write=False)
+    return HaBuckets(p=t.p, n=n, members=members, offsets=offsets)
 
 
 def count_ha(b: HaBuckets, t: ResidueTables, workers: int = 1) -> CountMatrix:
     """Count ordered pairs (h, a) with h^h = a^a (mod p); rows index a.
 
-    Within one bucket every ordered pair is a solution, so the combo-level
-    total is the sum of outer products of the per-bucket combo counts.  The
-    trivial part is the diagonal h = a, i.e. global class intersections.
+    Within one bucket every ordered pair is a solution.  With c a bucket's
+    residue count per PR/RP combo, the combo-level total is the sum of the
+    outer products c c^T and the trivial part (the diagonal h = a) the sum of
+    c, i.e. global class intersections.  Each chunk of buckets counts its own
+    c with one bincount of combo * chunk length + local bucket id over its
+    members.
     """
     if b.p != t.p:
         raise InvalidInputError(f"buckets are for p={b.p}, tables for p={t.p}")
 
     def tally_chunk(lo: int, hi: int) -> np.ndarray:
-        bc = b.combo_counts[lo:hi].astype(np.int64)  # uint16 products would wrap
-        return bc.T @ bc
+        """Rows 0-3: the sum of c c^T over buckets [lo, hi); row 4: the sum of c."""
+        bounds = b.offsets[lo:hi + 1]
+        key = np.repeat(np.arange(hi - lo), np.diff(bounds))
+        key += t.combo[b.members[bounds[0]:bounds[-1]]] * np.intp(hi - lo)
+        c = np.bincount(key, minlength=4 * (hi - lo)).reshape(4, -1)  # c of bucket i is c[:, i]
+        return np.vstack([c @ c.T, c.sum(axis=1)])
 
-    total_combo = _sum_chunks(tally_chunk, [*range(0, b.num_buckets, _CHUNK), b.num_buckets],
-                              workers)
-    trivial_combo = np.diag(b.combo_counts.sum(axis=0, dtype=np.int64))
+    tally = _sum_chunks(tally_chunk, [*range(0, b.num_buckets, _CHUNK), b.num_buckets], workers)
+    trivial_combo = np.diag(tally[4])
     return CountMatrix(p=t.p, equation=Equation.HA,
-                       counts=class_matrix(np.stack([trivial_combo, total_combo - trivial_combo])))
+                       counts=class_matrix(np.stack([trivial_combo, tally[:4] - trivial_combo])))
 
 
 def completions(h: int, a: int, t: ResidueTables) -> list[int]:
@@ -453,7 +435,8 @@ def census_all(t: ResidueTables, equations=tuple(Equation),
         matrices[Equation.FP] = count_fp(t, workers=workers)
     if Equation.HA in equations or Equation.TC in equations:
         b = build_ha_buckets(t)
-        matrices[Equation.HA] = count_ha(b, t, workers=workers)
+        if Equation.HA in equations:
+            matrices[Equation.HA] = count_ha(b, t, workers=workers)
         if Equation.TC in equations:
             matrices[Equation.TC] = count_tc(b, t, matrices[Equation.FP], workers=workers)
     return {eq: matrices[eq] for eq in equations}

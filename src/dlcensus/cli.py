@@ -26,10 +26,10 @@ CLI_PRIME_LIMIT = 1 << 40
 THREADS_ENV_VAR = "DLCENSUS_THREADS"
 
 # Peak memory of a census, for the preflight check.  A child process running
-# `compare --prime 10000019 --threads 1` peaked at 383 MiB (ru_maxrss; Linux,
-# numpy 2.4.6), 40.2 B per residue with the interpreter's 29 MiB included, here
-# rounded up; a second worker added 11-17 MiB at p = 1000003 and 10000019.
-BYTES_PER_RESIDUE = 41
+# `compare --prime 10000019 --threads 1` peaked at 328 MiB (ru_maxrss; Linux,
+# numpy 2.4.6), 34.4 B per residue with the interpreter's 29 MiB included, here
+# rounded up; a second worker added 11-14 MiB at p = 1000003 and 10000019.
+BYTES_PER_RESIDUE = 35
 WORKER_ALLOWANCE = 32 << 20
 
 EXIT_OK = 0

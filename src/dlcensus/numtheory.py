@@ -163,14 +163,6 @@ def carmichael(f: Factored) -> int:
     return value
 
 
-def divisors(f: Factored) -> list[int]:
-    """All divisors of f.n, ascending."""
-    ds = [1]
-    for q, alpha in f:
-        ds = [d * q**beta for d in ds for beta in range(alpha + 1)]
-    return sorted(ds)
-
-
 def divisors_with_phi(f: Factored) -> list[tuple[int, int]]:
     """(d, phi(d)) for every divisor d of f.n, ascending by d.
 
@@ -223,4 +215,5 @@ def prime_context(p: int) -> PrimeContext:
     if not is_prime(p):
         raise InvalidInputError(f"not prime: {p}")
     f = factorize(p - 1) if p > 2 else Factored(1, ())
-    return PrimeContext(p=p, n=p - 1, factors=f, divisors=tuple(divisors(f)), phi=euler_phi(f))
+    return PrimeContext(p=p, n=p - 1, factors=f, divisors=tuple(d for d, _ in divisors_with_phi(f)),
+                        phi=euler_phi(f))

@@ -27,7 +27,7 @@ from dlcensus.residue_tables import (
     ConditionClass,
     build_tables,
     class_counts,
-    class_vector,
+    class_matrix,
 )
 
 ANY, PR, RP, RPPR = CLASSES
@@ -100,36 +100,50 @@ class TestHaBuckets:
     def test_per_bucket_class_counts(self):
         t = build_tables(7)
         b = build_ha_buckets(t)
+        flags = {x: [True, t.is_pr(x), t.is_rp(x), t.is_pr(x) and t.is_rp(x)] for x in range(1, 7)}
+        expected = {"trivial": [[0] * 4 for _ in range(4)],
+                    "nontrivial": [[0] * 4 for _ in range(4)]}
         for i in range(b.num_buckets):
             members = [int(x) for x in b.bucket_members(i)]
-            vec = class_vector(b.combo_counts[i])
-            assert vec[0] == len(members)
-            assert vec[1] == sum(t.is_pr(x) for x in members)
-            assert vec[2] == sum(t.is_rp(x) for x in members)
+            for h in members:
+                for a in members:
+                    grid = expected["trivial" if h == a else "nontrivial"]
+                    for r in range(4):
+                        for c in range(4):
+                            grid[r][c] += flags[a][r] and flags[h][c]
+        ha = count_ha(b, t)
+        for part, grid in expected.items():
+            assert ha.part(part).tolist() == grid, part
 
-    def test_rejects_bucket_beyond_uint16(self):
+    def test_counts_bucket_beyond_uint16(self):
         # every key x * 0 is 0, so all 70000 residues share one bucket
         p = 70001
         tables = SimpleNamespace(p=p, n=p - 1, ind=np.zeros(p, dtype=np.uint32),
                                  combo=np.zeros(p, dtype=np.uint8))
-        with pytest.raises(InvalidInputError, match="65535"):
-            build_ha_buckets(tables)
+        b = build_ha_buckets(tables)
+        assert b.offsets.tolist() == [0, 70000]
+        ha = count_ha(b, tables)
+        assert ha.entry("total", ANY, ANY) == 4_900_000_000
+        assert ha.entry("trivial", ANY, ANY) == 70000
 
     @pytest.mark.parametrize("fill", [0, 1, 2, 3, "mixed"])
     def test_full_bucket_combo_counts(self, fill):
         # ind(1) = 1 gives residue 1 key 1; every other key x * 0 is 0, so
-        # residues 2..65536 fill one bucket of exactly 65535 members, the most
-        # a 16-bit combo lane holds without carrying into the next.
+        # residues 2..65536 fill one bucket of 65535 members.
         p = 65537
         ind = np.zeros(p, dtype=np.uint32)
         ind[1] = 1
         x = np.arange(p)
         combo = (x % 4 if fill == "mixed" else np.full(p, fill)).astype(np.uint8)
         combo[1] = 3 - combo[2]  # the singleton bucket differs from the full one
-        b = build_ha_buckets(SimpleNamespace(p=p, n=p - 1, ind=ind, combo=combo))
+        tables = SimpleNamespace(p=p, n=p - 1, ind=ind, combo=combo)
+        b = build_ha_buckets(tables)
         assert b.offsets.tolist() == [0, 65535, 65536]
-        expected = [np.bincount(combo[2:], minlength=4), np.bincount(combo[1:2], minlength=4)]
-        assert b.combo_counts.tolist() == [row.tolist() for row in expected]
+        full, single = np.bincount(combo[2:], minlength=4), np.bincount(combo[1:2], minlength=4)
+        ha = count_ha(b, tables)
+        assert np.array_equal(ha.part("trivial"), class_matrix(np.diag(full + single)))
+        assert np.array_equal(ha.part("total"),
+                              class_matrix(np.outer(full, full) + np.outer(single, single)))
 
 
 class TestCountHa:
@@ -315,8 +329,8 @@ class TestCensusAll:
     @pytest.mark.parametrize("wanted, counters", [
         ((Equation.FP,), {"count_fp"}),
         ((Equation.HA,), {"build_ha_buckets", "count_ha"}),
-        ((Equation.TC,), {"count_fp", "build_ha_buckets", "count_ha", "count_tc"}),
-        ((Equation.TC, Equation.FP), {"count_fp", "build_ha_buckets", "count_ha", "count_tc"}),
+        ((Equation.TC,), {"count_fp", "build_ha_buckets", "count_tc"}),
+        ((Equation.TC, Equation.FP), {"count_fp", "build_ha_buckets", "count_tc"}),
     ])
     def test_runs_only_needed_counters(self, monkeypatch, wanted, counters):
         t = build_tables(13)

@@ -9,7 +9,6 @@ from dlcensus.numtheory import (
     CongruenceSolution,
     Factored,
     carmichael,
-    divisors,
     divisors_with_phi,
     euler_phi,
     factorize,
@@ -148,24 +147,27 @@ class TestCarmichael:
                 assert any(pow(x, lam // q, n) != 1 for x in units), n
 
 
+def brute_divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 class TestDivisors:
     def test_reference_values(self):
-        assert divisors(factorize(12)) == [1, 2, 3, 4, 6, 12]
-        assert divisors(factorize(1)) == [1]
-        ds = divisors(factorize(100056))
+        assert prime_context(13).divisors == (1, 2, 3, 4, 6, 12)
+        assert prime_context(2).divisors == (1,)
+        ds = prime_context(100057).divisors
         assert len(ds) == 32  # (3+1)*2*2*2 from the 2^3 * 3 * 11 * 379 shape
-        assert ds[:6] == [1, 2, 3, 4, 6, 8]
+        assert ds[:6] == (1, 2, 3, 4, 6, 8)
+        assert list(ds) == brute_divisors(100056)
 
     def test_complete_and_sorted(self):
         for n in range(1, 3000):
-            ds = divisors(factorize(n))
-            assert ds == sorted(set(ds))
-            assert ds == [d for d in range(1, n + 1) if n % d == 0]
+            assert [d for d, _ in divisors_with_phi(factorize(n))] == brute_divisors(n), n
 
     def test_divisors_with_phi_consistent(self):
         for n in (1, 2, 12, 360, 100056):
             pairs = divisors_with_phi(factorize(n))
-            assert [d for d, _ in pairs] == divisors(factorize(n))
+            assert [d for d, _ in pairs] == brute_divisors(n)
             for d, ph in pairs:
                 assert ph == euler_phi(factorize(d))
 

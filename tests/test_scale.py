@@ -101,9 +101,10 @@ def traced_peak(stage):
 
 
 def test_census_peak_memory():
-    """At p = 1000003 the bucket build peaks at no more than 24 B/residue above
-    the tables it starts from, a 1-worker count_tc at 18 above the tables and
-    buckets, and a whole census, tables included, at 45."""
+    """At p = 1000003 the bucket build peaks at no more than 15 B/residue above
+    the tables it starts from and its arrays retain at most 7, a 1-worker
+    count_tc peaks at 18 above the tables and buckets, and a whole census,
+    tables included, at 35."""
     p = SCALE_PRIMES[0]
     tracemalloc.start()
     try:
@@ -114,6 +115,7 @@ def test_census_peak_memory():
         _, tc_peak = traced_peak(lambda: count_tc(b, t, fp, workers=1))
     finally:
         tracemalloc.stop()
-    assert buckets_peak / p <= 24
+    assert buckets_peak / p <= 15
+    assert sum(v.nbytes for v in vars(b).values() if isinstance(v, np.ndarray)) / p <= 7
     assert tc_peak / p <= 18
-    assert census_peak / p <= 45
+    assert census_peak / p <= 35
