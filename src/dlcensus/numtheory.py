@@ -166,8 +166,8 @@ def carmichael(f: Factored) -> int:
 def divisors_with_phi(f: Factored) -> list[tuple[int, int]]:
     """(d, phi(d)) for every divisor d of f.n, ascending by d.
 
-    Avoids refactorizing each divisor; used wherever a divisor sum needs
-    totients of all divisors.
+    The one divisor enumerator: prime_context keeps the divisors, and the
+    divisor sums use the totients without refactorizing each divisor.
     """
     pairs = [(1, 1)]
     for q, alpha in f:
@@ -215,5 +215,5 @@ def prime_context(p: int) -> PrimeContext:
     if not is_prime(p):
         raise InvalidInputError(f"not prime: {p}")
     f = factorize(p - 1) if p > 2 else Factored(1, ())
-    return PrimeContext(p=p, n=p - 1, factors=f, divisors=tuple(d for d, _ in divisors_with_phi(f)),
-                        phi=euler_phi(f))
+    divs = tuple(d for d, _ in divisors_with_phi(f))
+    return PrimeContext(p=p, n=p - 1, factors=f, divisors=divs, phi=euler_phi(f))
