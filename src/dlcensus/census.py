@@ -262,7 +262,7 @@ def count_ha(b: HaBuckets, t: ResidueTables, workers: int = 1) -> CountMatrix:
         """Rows 0-3: the sum of c c^T over buckets [lo, hi); row 4: the sum of c."""
         bounds = b.offsets[lo:hi + 1]
         key = np.repeat(np.arange(hi - lo), np.diff(bounds))
-        key += t.combo[b.members[bounds[0]:bounds[-1]]] * np.intp(hi - lo)
+        key += np.multiply(t.combo[b.members[bounds[0]:bounds[-1]]], hi - lo, dtype=np.intp)
         c = np.bincount(key, minlength=4 * (hi - lo)).reshape(4, -1)  # c of bucket i is c[:, i]
         return np.vstack([c @ c.T, c.sum(axis=1)])
 

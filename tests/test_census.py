@@ -165,6 +165,21 @@ class TestCountHa:
                 for j, c in enumerate(CLASSES):
                     assert ha.part("trivial")[i, j] == counts.intersection(r, c)
 
+    @pytest.mark.parametrize("chunk", [100, 22000])
+    def test_wide_chunks_keep_counts(self, monkeypatch, chunk):
+        # combo * chunk length reaches 3 * chunk length: past 255 for chunks
+        # of 86-255 buckets and past 65535 for chunks of 21846-65535, so the
+        # product must not stay in a small integer dtype.
+        t = build_tables(50021)
+        b = build_ha_buckets(t)
+        assert b.num_buckets > chunk  # a full chunk and a partial one
+        c = np.zeros((b.num_buckets, 4), dtype=np.int64)  # per-bucket combo counts
+        np.add.at(c, (np.repeat(np.arange(b.num_buckets), b.sizes), t.combo[b.members]), 1)
+        monkeypatch.setattr(census, "_CHUNK", chunk)
+        ha = count_ha(b, t)
+        assert np.array_equal(ha.part("total"), class_matrix(c.T @ c))
+        assert np.array_equal(ha.part("trivial"), class_matrix(np.diag(c.sum(axis=0))))
+
     def test_rejects_mismatched_tables(self):
         b = build_ha_buckets(build_tables(7))
         with pytest.raises(InvalidInputError):
