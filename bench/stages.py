@@ -16,7 +16,10 @@ stages always run on one thread.
   not counted), over p; from one extra traced run.
 * ``retained_bytes_per_residue``: what the stage's result keeps, over p.
 
-``total_s`` is the sum of the stage minima.  ``child_peak_rss_mib`` is the
+``total_s`` is the sum of the stage minima.  ``tc_pairs`` (the in-bucket
+pairs h < a that ``count_tc`` solves, sum of s(s-1)/2 over bucket sizes s)
+and ``singleton_buckets`` (buckets of one member, which add no pairs) give
+the work behind the ``count_tc`` time; both come from the buckets' offsets.  ``child_peak_rss_mib`` is the
 peak resident set (``ru_maxrss``) of a child process running
 ``dlcensus.cli compare --prime P --threads W`` on the same ``dlcensus``
 package, interpreter and numpy included; it is what the CLI's memory
@@ -50,9 +53,9 @@ WORKERS = (1, 2)
 STAGES = ("build_tables", "build_ha_buckets", "count_fp", "count_ha", "count_tc")
 
 
-def pipeline(p: int, workers: int):
-    """Yield (stage name, thunk) in order; each thunk runs one stage."""
-    state = {}
+def pipeline(p: int, workers: int, state: dict):
+    """Yield (stage name, thunk) in order; each thunk runs one stage and
+    keeps its result in state."""
     yield "build_tables", lambda: state.setdefault("t", build_tables(p))
     yield "build_ha_buckets", lambda: state.setdefault("b", build_ha_buckets(state["t"]))
     yield "count_fp", lambda: state.setdefault("fp", count_fp(state["t"], workers))
@@ -60,13 +63,21 @@ def pipeline(p: int, workers: int):
     yield "count_tc", lambda: count_tc(state["b"], state["t"], state["fp"], workers)
 
 
-def timed_run(p: int, workers: int) -> dict[str, float]:
-    seconds = {}
-    for name, stage in pipeline(p, workers):
+def tc_work(offsets: np.ndarray) -> dict[str, int]:
+    """count_tc's pairs h < a and the singleton buckets, from bucket offsets."""
+    sizes = np.diff(offsets).astype(np.int64)
+    return {"tc_pairs": int((sizes * (sizes - 1) // 2).sum()),
+            "singleton_buckets": int(np.count_nonzero(sizes == 1))}
+
+
+def timed_run(p: int, workers: int) -> tuple[dict[str, float], dict[str, int]]:
+    """Seconds of each stage, and count_tc's work."""
+    seconds, state = {}, {}
+    for name, stage in pipeline(p, workers, state):
         start = time.perf_counter()
         stage()
         seconds[name] = time.perf_counter() - start
-    return seconds
+    return seconds, tc_work(state["b"].offsets)
 
 
 def traced_run(p: int, workers: int) -> dict[str, tuple[float, float]]:
@@ -74,7 +85,7 @@ def traced_run(p: int, workers: int) -> dict[str, tuple[float, float]]:
     memory = {}
     tracemalloc.start()
     try:
-        for name, stage in pipeline(p, workers):
+        for name, stage in pipeline(p, workers, {}):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             result = stage()
@@ -102,7 +113,8 @@ def child_peak_rss_mib(p: int, workers: int) -> float:
 def measure(p: int, workers: int, repeat: int, child_rss_mib: float) -> dict:
     runs = []
     for _ in range(repeat):
-        runs.append(timed_run(p, workers))
+        seconds, work = timed_run(p, workers)
+        runs.append(seconds)
         gc.collect()
     memory = traced_run(p, workers)
     gc.collect()
@@ -113,7 +125,7 @@ def measure(p: int, workers: int, repeat: int, child_rss_mib: float) -> dict:
     return {"p": p, "workers": workers, "repeat": repeat,
             "total_s": round(sum(s["seconds"] for s in stages.values()), 4),
             "child_peak_rss_mib": round(child_rss_mib, 1),
-            "stages": stages}
+            **work, "stages": stages}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,9 +11,9 @@ h^h = a^a iff key(h) = key(a) where key(x) = x*ind(x) mod n, so solutions are
 ordered pairs drawn from equal-key buckets; one sort of packed
 (key << 32) | x values groups them.  A tc solution is a completion g of a
 bucket pair (h, a), i.e. a common solution of h*w = ind(a) and
-a*w = ind(h) (mod n); the trivial part (a = h) is exactly the fp solution set.
-That system is symmetric in (h, a), so count_tc solves each unordered pair
-h <= a once and tallies its completions for both orders.
+a*w = ind(h) (mod n); for a = h that is fp's congruence, so count_tc takes
+the trivial part from the fp census, and as the system is symmetric in (h, a)
+it solves each pair h < a once and tallies its completions for both orders.
 
 The fp and tc kernels take every modular inverse from the per-prime tables
 (ResidueTables.inv and div_index, about 6 B per residue retained) and, for
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvariantViolation
+from .errors import InvalidInputError
 from .numtheory import solve_linear_congruence
 from .residue_tables import (
     CLASSES,
@@ -55,13 +55,13 @@ from .residue_tables import (
     ConditionClass,
 )
 
-# In-bucket pairs h <= a (tc), residues (fp) or buckets (ha) per vectorized
-# chunk.  At 2^16 a chunk's transient arrays peak at about 8.5 MB per worker
-# in tc (up to 130 B per pair), 5 MB in fp (75 B per residue) and 3 MB in ha
-# (47 B per bucket, at about 2 members per bucket), by tracemalloc at
-# p = 1000003, 1108801 and 10000019; a tc chunk that is one bucket of more
-# pairs, or an ha chunk of larger buckets, takes more.  2^16-2^18 ran equally
-# fast at p ~ 10^6, and larger chunks raised the peak.
+# In-bucket pairs h < a and their members (tc), residues (fp) or buckets (ha)
+# per vectorized chunk.  At 2^16 a chunk's transient arrays peak at about
+# 5.5 MB per worker in tc (up to 85 B per pair or member), 5 MB in fp (75 B
+# per residue) and 3 MB in ha (47 B per bucket, at about 2 members per
+# bucket), by tracemalloc at p = 1000003, 1108801 and 10000019; a tc chunk
+# that is one bucket of more pairs, or an ha chunk of larger buckets, takes
+# more.  2^16-2^18 ran equally fast at p ~ 10^6; larger chunks raise the peak.
 _CHUNK = 1 << 16
 
 
@@ -330,13 +330,13 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
     """Count ordered pairs (g, h) with a = g^h mod p satisfying g^a = h.
 
     Every solution's (h, a) pair shares a bucket key, so all solutions are
-    found by completing the pairs of each bucket.  The system h*w = ind(a),
-    a*w = ind(h) (mod n) in w = ind(g) is symmetric in (h, a), so only the
-    unordered pairs h <= a are solved: a completion g of an off-diagonal pair
-    is tallied for (h, a) in column combo(h), and in the ORD row when a is
-    RP, and again for (a, h) in column combo(a), and in the ORD row when h is
-    RP.  Diagonal pairs (a = h), tallied once, yield the trivial part, which
-    must coincide with the fp census.
+    found by completing the pairs of each bucket.  A diagonal pair (a = h)
+    solves h*w = ind(h) (mod n) in w = ind(g), which is fp's congruence, so
+    the trivial part is fp's total grid, and its ORD row fp's (ANY, h RP)
+    cells.  The system h*w = ind(a), a*w = ind(h) (mod n) is symmetric in
+    (h, a), so only the pairs h < a are solved: a completion g is tallied for
+    (h, a) in column combo(h), and in the ORD row when a is RP, and again for
+    (a, h) in column combo(a), and in the ORD row when h is RP.
 
     With d1 = gcd(h, n), d2 = gcd(a, n) and e = gcd(d1, d2), w solves
     h*w = ind(a) (mod n) iff d1 | ind(a) and w = u1 (mod s1), with
@@ -358,32 +358,37 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
     divides = divisibility_table(t).ravel()
     e, lift_mod, shared, lift = (arr.ravel() for arr in divisor_pair_tables(t))
     e_step = n // e
-    g_combo = t.combo[t.pow]  # combo of g = pow[w], by index w
     offsets = b.offsets
+    # Chunks are runs of whole buckets whose pairs h < a and members (s(s+1)/2
+    # for s > 1 members; singletons are dropped unread and count 0) add up to
+    # at most _CHUNK, or one bucket that alone holds more; int64 as s >= 2^16
+    # overflows int32.
     sizes = np.diff(offsets)
-    # Chunks are runs of whole buckets holding at most _CHUNK pairs h <= a,
-    # or one bucket that alone holds more.
     pair_cum = np.zeros(b.num_buckets + 1, dtype=np.int64)
     np.add(sizes, 1, out=pair_cum[1:])
     pair_cum[1:] *= sizes
     pair_cum >>= 1
+    pair_cum[1:] -= sizes == 1
+    del sizes
     np.cumsum(pair_cum, out=pair_cum)
     bounds = [0]
     while bounds[-1] < b.num_buckets:
         stop = int(np.searchsorted(pair_cum, pair_cum[bounds[-1]] + _CHUNK, "right")) - 1
         bounds.append(max(stop, bounds[-1] + 1))
     del pair_cum
+    g_combo = t.combo[t.pow]  # combo of g = pow[w], by index w
 
     def tally_chunk(lo: int, hi: int) -> np.ndarray:
-        """128 bins over the pairs h <= a of buckets [lo, hi):
-        (h != a) * 64 + combo(a) * 16 + combo(h) * 4 + combo(g)."""
-        # Pairs are positions hp <= ap in this chunk's slice of members, so
-        # every per-residue gather is done once per member, not per pair.
-        mem = b.members[offsets[lo]:offsets[hi]].astype(np.intp)
+        """64 bins over buckets [lo, hi)'s pairs h < a: combo(a)*16 + combo(h)*4 + combo(g)."""
+        # Pairs are positions hp < ap in mem, so each gather is per member, not pair.
+        sizes = np.diff(offsets[lo:hi + 1])
+        paired = np.repeat(sizes > 1, sizes)
+        ends = np.repeat(offsets[lo + 1:hi + 1] - offsets[lo], sizes)
+        partners = (ends - np.arange(len(ends)) - 1)[paired]
+        mem = b.members[offsets[lo]:offsets[hi]][paired].astype(np.intp)
         pos = np.arange(len(mem))
-        partners = np.repeat(offsets[lo + 1:hi + 1] - offsets[lo], sizes[lo:hi]) - pos
         hp = np.repeat(pos, partners)
-        ap = np.arange(len(hp)) - np.repeat(np.cumsum(partners) - partners - pos, partners)
+        ap = np.arange(len(hp)) - np.repeat(np.cumsum(partners) - partners - pos - 1, partners)
         m_div = t.div_index[mem].astype(np.intp)
         m_row = m_div * tau
         m_ind_div = t.div_index[t.ind[mem]]
@@ -403,24 +408,19 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
         count = np.where(k * step == diff, e[pair], 0)
         base = u1 + s1 * (k * lift[pair] % lift_mod[pair])
         m_combo = t.combo[mem]
-        pair_key = ((hp != ap) * np.uint8(64) + m_combo[ap] * np.uint8(16)
-                    + m_combo[hp] * np.uint8(4))
+        pair_key = m_combo[ap] * np.uint8(16) + m_combo[hp] * np.uint8(4)
         ws = _progressions(base, e_step[pair], count)
-        return np.bincount(np.repeat(pair_key, count) + g_combo[ws], minlength=128)
+        return np.bincount(np.repeat(pair_key, count) + g_combo[ws], minlength=64)
 
-    tally = _sum_chunks(tally_chunk, bounds, workers)
-    by_pair = tally.reshape(2, 4, 4, 4)  # (h != a, combo(a), combo(h), combo(g))
+    by_pair = _sum_chunks(tally_chunk, bounds, workers).reshape(4, 4, 4)  # (a, h, g) combos
     rp = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])  # [RP flag, combo]
-    # Fold to [part, a RP, combo(g), combo(h)]; an off-diagonal pair also
-    # counts as (a, h), which swaps the roles of its two combo axes.
-    by_rp = np.einsum("rx,kxhg->krgh", rp, by_pair)
-    by_rp[1] += np.einsum("rx,hxg->rgh", rp, by_pair[1])
-    counts = np.concatenate([class_matrix(by_rp.sum(axis=1)),
-                             class_vector(by_rp[:, 1].sum(axis=1))[:, None]], axis=1)
-    if not np.array_equal(counts[0, :4], fp.part("total")):
-        raise InvariantViolation(
-            f"tc trivial part disagrees with the fp census at p={t.p}")
-    return CountMatrix(p=t.p, equation=Equation.TC, counts=counts)
+    # Fold to [a RP, combo(g), combo(h)]; each pair counts again as (a, h).
+    by_rp = np.einsum("rx,xhg->rgh", rp, by_pair) + np.einsum("rx,hxg->rgh", rp, by_pair)
+    f = fp.part("total")  # the trivial ORD row is fp's (ANY, c and RP) per h class c
+    rp_cols = [CLASSES.index(c) for c in (ConditionClass.RP, ConditionClass.RPPR)] * 2
+    trivial = np.vstack([f, f[0, rp_cols]])
+    nontrivial = np.vstack([class_matrix(by_rp.sum(axis=0)), class_vector(by_rp[1].sum(axis=0))])
+    return CountMatrix(p=t.p, equation=Equation.TC, counts=np.stack([trivial, nontrivial]))
 
 
 def census_all(t: ResidueTables, equations=tuple(Equation),

@@ -1,11 +1,15 @@
 """Smoke test of the stage bench script: it runs every stage at a small prime
-and writes a BENCH file with one row per prime and worker count."""
+and writes a BENCH file with one row per prime and worker count, each with
+count_tc's pair and singleton-bucket counts."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from dlcensus.census import build_ha_buckets
+from dlcensus.residue_tables import build_tables
 
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("build_tables", "build_ha_buckets", "count_fp", "count_ha", "count_tc")
@@ -28,3 +32,8 @@ def test_stages_writes_bench_file(tmp_path):
             assert stage["seconds"] >= 0 and stage["peak_bytes_per_residue"] > 0
         assert row["stages"]["build_tables"]["retained_bytes_per_residue"] >= 15
         assert row["child_peak_rss_mib"] > 0
+    offsets = [int(x) for x in build_ha_buckets(build_tables(10007)).offsets]
+    sizes = [hi - lo for lo, hi in zip(offsets, offsets[1:])]
+    for row in rows:
+        assert row["tc_pairs"] == sum(s * (s - 1) // 2 for s in sizes)
+        assert row["singleton_buckets"] == sizes.count(1)

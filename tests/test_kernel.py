@@ -24,9 +24,11 @@ from dlcensus.residue_tables import CLASSES, build_tables, class_matrix, class_v
 
 ANY = CLASSES[0]
 
-# Edge shapes of n = p - 1: n = 1 and 2, n a power of 2 (17, 257), and
-# safe primes (n = 2q with q prime: 1019, 2039).
-EDGE_PRIMES = (2, 3, 17, 257, 1019, 2039)
+# Edge shapes of n = p - 1: n = 1 and 2, n a power of 2 (17, 257), safe
+# primes (n = 2q with q prime: 1019, 2039), and highly composite n (2520
+# with 48 divisors, 7560 with 64), whose buckets of up to 22 and 25 members
+# make the off-diagonal pairs h != a most of the tc work.
+EDGE_PRIMES = (2, 3, 17, 257, 1019, 2039, 2521, 7561)
 
 small_primes = st.integers(10**3, 2 * 10**4).map(lambda k: next_primes(k, 1)[0])
 bounded = settings(max_examples=8, deadline=None, derandomize=True, database=None)
