@@ -19,11 +19,11 @@ stages always run on one thread.
 ``total_s`` is the sum of the stage minima.  ``tc_pairs`` (the in-bucket
 pairs h < a that ``count_tc`` solves, sum of s(s-1)/2 over bucket sizes s)
 and ``singleton_buckets`` (buckets of one member, which add no pairs) give
-the work behind the ``count_tc`` time; both come from the buckets' offsets.  ``child_peak_rss_mib`` is the
-peak resident set (``ru_maxrss``) of a child process running
-``dlcensus.cli compare --prime P --threads W`` on the same ``dlcensus``
-package, interpreter and numpy included; it is what the CLI's memory
-preflight must cover.  The children run before any stage, while this process
+the work behind the ``count_tc`` time; both come from the buckets' offsets.
+``child_peak_rss_mib`` is the peak resident set (``ru_maxrss``) of a child
+process running ``dlcensus.cli compare --prime P --threads W`` on the same
+``dlcensus`` package, interpreter and numpy included; it is what the CLI's
+memory preflight must cover.  The children run before any stage, while this process
 is still smaller than each of them.  The file also records the
 interpreter, numpy version and usable CPU count, since the numbers only compare
 between runs on one machine.
