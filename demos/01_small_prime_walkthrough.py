@@ -20,7 +20,7 @@ p = 7
 tables = build_tables(p)
 
 print(f"p = {p}, primitive root = {tables.root}")
-print(f"powers of {tables.root}: {[int(x) for x in tables.pow]}")
+print(f"powers of {tables.root}: {[pow(tables.root, k, p) for k in range(tables.n)]}")
 print(f"index (discrete log) of each residue 1..6: {[int(x) for x in tables.ind[1:]]}")
 # The order of x is n / gcd(ind(x), n), read straight off the index table.
 orders = [tables.n // math.gcd(int(i), tables.n) for i in tables.ind[1:]]

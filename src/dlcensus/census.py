@@ -202,7 +202,6 @@ def count_fp(t: ResidueTables, workers: int = 1) -> CountMatrix:
     sum_h gcd(h, n).  Residues are processed in chunks of _CHUNK h values.
     """
     n = t.n
-    g_combo = t.combo[t.pow]  # combo of g = pow[w], by index w
 
     def tally_chunk(lo: int, hi: int) -> np.ndarray:
         ih = t.ind[lo:hi].astype(np.int64)
@@ -210,7 +209,8 @@ def count_fp(t: ResidueTables, workers: int = 1) -> CountMatrix:
         step = n // d
         w0 = ih // d * t.inv[lo:hi] % step
         count = np.where(ih % d == 0, d, 0)
-        keys = 4 * g_combo[_progressions(w0, step, count)] + np.repeat(t.combo[lo:hi], count)
+        ws = _progressions(w0, step, count)
+        keys = 4 * t.combo_by_index[ws] + np.repeat(t.combo[lo:hi], count)
         return np.bincount(keys, minlength=16)
 
     tally = _sum_chunks(tally_chunk, [*range(1, t.p, _CHUNK), t.p], workers)
@@ -275,7 +275,7 @@ def count_ha(b: HaBuckets, t: ResidueTables, workers: int = 1) -> CountMatrix:
 def completions(h: int, a: int, t: ResidueTables) -> list[int]:
     """All g with g^h = a and g^a = h (mod p), ascending.
 
-    In the index domain g = pow[w] must satisfy h*w = ind(a) and
+    In the index domain g = root^w must satisfy h*w = ind(a) and
     a*w = ind(h) (mod n); the two arithmetic progressions are intersected by
     CRT.  When solvable the intersection has gcd(h, a, n) elements, hence
     exactly one when gcd(h, a, n) = 1.
@@ -298,7 +298,7 @@ def completions(h: int, a: int, t: ResidueTables) -> list[int]:
         lift = lift * pow((first.step // shared) % m2, -1, m2) % m2
     lcm_step = first.step * m2
     base = (first.base + first.step * lift) % lcm_step
-    return sorted(int(t.pow[w]) for w in range(base, n, lcm_step))
+    return sorted(pow(t.root, w, t.p) for w in range(base, n, lcm_step))
 
 
 def divisor_pair_tables(t: ResidueTables):
@@ -376,7 +376,6 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
         stop = int(np.searchsorted(pair_cum, pair_cum[bounds[-1]] + _CHUNK, "right")) - 1
         bounds.append(max(stop, bounds[-1] + 1))
     del pair_cum
-    g_combo = t.combo[t.pow]  # combo of g = pow[w], by index w
 
     def tally_chunk(lo: int, hi: int) -> np.ndarray:
         """64 bins over buckets [lo, hi)'s pairs h < a: combo(a)*16 + combo(h)*4 + combo(g)."""
@@ -410,7 +409,7 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
         m_combo = t.combo[mem]
         pair_key = m_combo[ap] * np.uint8(16) + m_combo[hp] * np.uint8(4)
         ws = _progressions(base, e_step[pair], count)
-        return np.bincount(np.repeat(pair_key, count) + g_combo[ws], minlength=64)
+        return np.bincount(np.repeat(pair_key, count) + t.combo_by_index[ws], minlength=64)
 
     by_pair = _sum_chunks(tally_chunk, bounds, workers).reshape(4, 4, 4)  # (a, h, g) combos
     rp = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])  # [RP flag, combo]

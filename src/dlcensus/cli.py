@@ -26,10 +26,11 @@ CLI_PRIME_LIMIT = 1 << 40
 THREADS_ENV_VAR = "DLCENSUS_THREADS"
 
 # Peak memory of a census, for the preflight check.  A child process running
-# `compare --prime 10000019 --threads 1` peaked at 328 MiB (ru_maxrss; Linux,
-# numpy 2.4.6), 34.4 B per residue with the interpreter's 29 MiB included, here
-# rounded up; a second worker added 11-14 MiB at p = 1000003 and 10000019.
-BYTES_PER_RESIDUE = 35
+# `compare --prime 10000019 --threads 1` peaked at 290 MiB (ru_maxrss; Linux,
+# numpy 2.4.6), 30.4 B per residue with the interpreter's 29 MiB included, here
+# rounded up (26.4 B at p = 30000001); a second worker added about 11 MiB at
+# p = 1000003, 10000019 and 30000001.
+BYTES_PER_RESIDUE = 31
 WORKER_ALLOWANCE = 32 << 20
 
 EXIT_OK = 0
@@ -192,11 +193,10 @@ def _cmd_predict(args) -> int:
 
 def _compare_prime(p: int, equations: list[Equation], threads: int):
     """Reports for one prime, the cross-equation claims when applicable, and
-    the names of all failed claims.  All three censuses always run, so the
-    tc-trivial = fp invariant is checked on every comparison."""
+    the names of all failed claims; only the reported censuses run."""
     ctx = prime_context(p)
     tables = build_tables(p)
-    observed = census.census_all(tables, workers=threads)
+    observed = census.census_all(tables, equations, threads)
     counts = class_counts(tables)
     reports = [report.compare(observed[eq], predictor.predict_matrix(eq, ctx), counts)
                for eq in equations]

@@ -1,12 +1,12 @@
-"""Per-prime lookup tables: powers of a primitive root, the inverse index
-(discrete log) table, per-residue condition flags, and the divisor and
-inverse tables the census kernels complete congruences with.
+"""Per-prime lookup tables: the index (discrete log) table of a primitive
+root, per-residue condition flags by residue and by index, and the divisor
+and inverse tables the census kernels complete congruences with.
 
 Conventions used everywhere downstream: residues live in [1, p-1], indices in
-[0, n-1] with n = p - 1, and pow[0] = 1.  A residue x is PR when its
-multiplicative order is n (equivalently gcd(ind[x], n) = 1) and RP when
-gcd(x, n) = 1.  Tables are immutable after construction and safe to share
-between any number of readers.
+[0, n-1] with n = p - 1.  A residue x is PR when its order is n (equivalently
+gcd(ind[x], n) = 1) and RP when gcd(x, n) = 1.  The census reads g only by its
+flags, so powers are not kept: combo_by_index[w] holds the flags of root^w.
+Tables are immutable after construction and safe to share between readers.
 
 Every modulus the census meets is a divisor of n, so its modular inverses are
 tabulated once per prime: inv[x] inverts x/d modulo n/d where d = gcd(x, n),
@@ -86,9 +86,9 @@ def class_vector(combo_vector: np.ndarray) -> np.ndarray:
 class ResidueTables:
     """Immutable lookup tables for one prime.
 
-    pow[k] = root^k mod p for k in [0, n-1]; ind is its inverse on [1, p-1]
-    (so x has multiplicative order n / gcd(ind[x], n)); combo[x] is the
-    PR/RP flag encoding.  Entry 0 of ind and combo is padding.
+    ind[x] is the index of x, root^ind[x] = x (so x has multiplicative order
+    n / gcd(ind[x], n)); combo[x] is the PR/RP flag encoding and
+    combo_by_index[w] = combo[root^w].  Entry 0 of ind and combo is padding.
 
     divisors lists the divisors of n ascending.  For x in [0, n], with
     d = gcd(x, n) (so d = n at x = 0), div_index[x] is the position of d in
@@ -100,9 +100,9 @@ class ResidueTables:
     n: int
     factors: Factored
     root: int
-    pow: np.ndarray  # uint32, length n, index -> residue
     ind: np.ndarray  # uint32, length p, residue -> index
     combo: np.ndarray  # uint8, length p, residue -> combo code
+    combo_by_index: np.ndarray  # uint8, length n, index -> combo code
     divisors: np.ndarray  # int64, length tau(n), ascending
     div_index: np.ndarray  # uint16 (tau(n) <= 1600 for n < 2^31), length p
     inv: np.ndarray  # uint32, length p
@@ -164,11 +164,12 @@ def build_tables(p: int) -> ResidueTables:
     rp = div_index == 0
     combo = (pr.astype(np.uint8) + 2 * rp.astype(np.uint8))
     combo[0] = 0
+    combo_by_index = combo[pow_table]
 
-    for arr in (pow_table, ind, combo, divs, div_index, inv):
+    for arr in (ind, combo, combo_by_index, divs, div_index, inv):
         arr.setflags(write=False)
-    return ResidueTables(p=p, n=n, factors=factors, root=root,
-                         pow=pow_table, ind=ind, combo=combo, divisors=divs,
+    return ResidueTables(p=p, n=n, factors=factors, root=root, ind=ind, combo=combo,
+                         combo_by_index=combo_by_index, divisors=divs,
                          div_index=div_index, inv=inv)
 
 

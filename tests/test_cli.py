@@ -188,6 +188,16 @@ class TestCompare:
         assert "cross-equation claims:" in out
         assert "FAIL" not in out
 
+    def test_runs_only_the_reported_census(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare --equation fp ran an unreported census")
+
+        monkeypatch.setattr(cli.census, "count_tc", refuse)
+        monkeypatch.setattr(cli.census, "build_ha_buckets", refuse)
+        code, out, _ = run(capsys, "compare", "--prime", "13", "--equation", "fp")
+        assert code == 0
+        assert "equation=fp" in out and "FAIL" not in out
+
     def test_records_written(self, capsys, tmp_path):
         out_file = tmp_path / "records.jsonl"
         code, _, _ = run(capsys, "compare", "--prime", "13", "--out", str(out_file))

@@ -22,14 +22,14 @@ class TestBuildTables:
     def test_p7_layout(self):
         t = build_tables(7)
         assert t.root == 3
-        assert list(t.pow) == [1, 3, 2, 6, 4, 5]
+        assert [pow(t.root, k, 7) for k in range(t.n)] == [1, 3, 2, 6, 4, 5]
         assert t.ind[6] == 3
         assert 6 // math.gcd(int(t.ind[6]), 6) == 2  # order of 6
 
     def test_p2_trivial_group(self):
         t = build_tables(2)
         assert t.n == 1 and t.root == 1
-        assert list(t.pow) == [1]
+        assert [pow(t.root, k, 2) for k in range(t.n)] == [1]
         assert t.is_pr(1) and t.is_rp(1)
 
     def test_reference_prime_flag_counts(self):
@@ -47,15 +47,17 @@ class TestBuildTables:
     def test_arrays_immutable(self):
         t = build_tables(13)
         with pytest.raises(ValueError):
-            t.pow[0] = 5
+            t.combo_by_index[0] = 5
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_invariants(self, p):
         t = build_tables(p)
         n = p - 1
-        # pow and ind are mutually inverse bijections
-        assert np.array_equal(t.pow[t.ind[1:]], np.arange(1, p))
-        assert np.array_equal(t.ind[t.pow], np.arange(n))
+        # ind inverts the powers of the root and is a bijection onto [0, n-1]
+        assert all(pow(t.root, int(t.ind[x]), p) == x for x in range(1, p))
+        assert np.array_equal(np.sort(t.ind[1:]), np.arange(n))
+        # combo_by_index is combo read by index
+        assert np.array_equal(t.combo_by_index[t.ind[1:]], t.combo[1:])
         # order-from-index law: brute-force order equals n / gcd(ind[x], n)
         for x in range(1, p):
             value, order = x, 1
