@@ -18,8 +18,9 @@ stages always run on one thread.
 
 ``total_s`` is the sum of the stage minima.  ``tc_pairs`` (the in-bucket
 pairs h < a that ``count_tc`` solves, sum of s(s-1)/2 over bucket sizes s)
-and ``singleton_buckets`` (buckets of one member, which add no pairs) give
-the work behind the ``count_tc`` time; both come from the buckets' offsets.
+gives the work behind the ``count_tc`` time, and ``unpaired_residues`` (n
+less the bucket members: residues whose key no other residue has, which
+the buckets leave out) the work the buckets spare it.
 ``child_peak_rss_mib`` is the peak resident set (``ru_maxrss``) of a child
 process running ``dlcensus.cli compare --prime P --threads W`` on the same
 ``dlcensus`` package, interpreter and numpy included; it is what the CLI's
@@ -45,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 import dlcensus
-from dlcensus.census import build_ha_buckets, count_fp, count_ha, count_tc, usable_cpus
+from dlcensus.census import HaBuckets, build_ha_buckets, count_fp, count_ha, count_tc, usable_cpus
 from dlcensus.residue_tables import build_tables
 
 PRIMES = (1000003, 1108801, 10000019, 30000001)
@@ -63,11 +64,11 @@ def pipeline(p: int, workers: int, state: dict):
     yield "count_tc", lambda: count_tc(state["b"], state["t"], state["fp"], workers)
 
 
-def tc_work(offsets: np.ndarray) -> dict[str, int]:
-    """count_tc's pairs h < a and the singleton buckets, from bucket offsets."""
-    sizes = np.diff(offsets).astype(np.int64)
+def tc_work(b: HaBuckets) -> dict[str, int]:
+    """count_tc's pairs h < a, and the residues the buckets leave out."""
+    sizes = b.sizes.astype(np.int64)
     return {"tc_pairs": int((sizes * (sizes - 1) // 2).sum()),
-            "singleton_buckets": int(np.count_nonzero(sizes == 1))}
+            "unpaired_residues": b.n - len(b.members)}
 
 
 def timed_run(p: int, workers: int) -> tuple[dict[str, float], dict[str, int]]:
@@ -77,7 +78,7 @@ def timed_run(p: int, workers: int) -> tuple[dict[str, float], dict[str, int]]:
         start = time.perf_counter()
         stage()
         seconds[name] = time.perf_counter() - start
-    return seconds, tc_work(state["b"].offsets)
+    return seconds, tc_work(state["b"])
 
 
 def traced_run(p: int, workers: int) -> dict[str, tuple[float, float]]:

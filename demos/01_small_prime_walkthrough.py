@@ -32,12 +32,15 @@ for x in range(1, p):
     print(f"residue {x}: PR={tables.is_pr(x)} RP={tables.is_rp(x)}")
 print()
 
-# The eliminated-form buckets group residues with equal x^x mod p.
+# The eliminated-form buckets group residues with equal x^x mod p; a residue
+# whose x^x no other residue shares is in none, and solves only h = a = x.
 buckets = build_ha_buckets(tables)
 print("buckets of equal x^x mod p:",
       [sorted(int(m) for m in buckets.bucket_members(i))
        for i in range(buckets.num_buckets)])
-print("so h^h = a^a has", sum(int(s) * int(s) for s in buckets.sizes),
+unpaired = sorted(set(range(1, p)) - {int(m) for m in buckets.members})
+print("residues with an x^x of their own:", unpaired)
+print("so h^h = a^a has", sum(int(s) * int(s) for s in buckets.sizes) + len(unpaired),
       "ordered solutions including the diagonal")
 print()
 

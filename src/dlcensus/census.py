@@ -8,12 +8,14 @@ Counting works in the index (discrete log) domain instead of brute force.
 With w = ind(g), fp becomes the linear congruence h*w = ind(h) (mod n), so
 each h contributes gcd(h, n) candidate g values when solvable.  For ha,
 h^h = a^a iff key(h) = key(a) where key(x) = x*ind(x) mod n, so solutions are
-ordered pairs drawn from equal-key buckets; one sort of packed
-(key << 32) | x values groups them.  A tc solution is a completion g of a
-bucket pair (h, a), i.e. a common solution of h*w = ind(a) and
-a*w = ind(h) (mod n); for a = h that is fp's congruence, so count_tc takes
-the trivial part from the fp census, and as the system is symmetric in (h, a)
-it solves each pair h < a once and tallies its completions for both orders.
+the diagonal h = a and the ordered pairs h != a drawn from equal-key
+buckets; one sort of packed (key << 32) | x values groups them, and only the
+residues whose key is shared (about 70% at p ~ 10^6) are kept.  A tc
+solution is a completion g of such a pair (h, a), i.e. a common solution of
+h*w = ind(a) and a*w = ind(h) (mod n); for a = h that is fp's congruence, so
+count_tc takes the trivial part from the fp census, and as the system is
+symmetric in (h, a) it solves each in-bucket pair h < a once and tallies its
+completions for both orders.
 
 The fp and tc kernels take every modular inverse from the per-prime tables
 (ResidueTables.inv and div_index, about 6 B per residue retained) and, for
@@ -52,17 +54,24 @@ from .residue_tables import (
     ResidueTables,
     class_matrix,
     class_vector,
+    combo_counts,
     ConditionClass,
 )
 
 # In-bucket pairs h < a and their members (tc), residues (fp) or buckets (ha)
 # per vectorized chunk.  At 2^16 a chunk's transient arrays peak at about
-# 5.5 MB per worker in tc (up to 85 B per pair or member), 5 MB in fp (75 B
-# per residue) and 3 MB in ha (47 B per bucket, at about 2 members per
+# 6 MB per worker in tc (up to 94 B per pair or member), 5 MB in fp (75 B
+# per residue) and 3.8 MB in ha (58 B per bucket, at about 3 members per
 # bucket), by tracemalloc at p = 1000003, 1108801 and 10000019; a tc chunk
 # that is one bucket of more pairs, or an ha chunk of larger buckets, takes
 # more.  2^16-2^18 ran equally fast at p ~ 10^6; larger chunks raise the peak.
 _CHUNK = 1 << 16
+# Residues per slice of the bucket build's fill and compaction passes.  A
+# slice's transients (about 25 B per residue of the slice) sit on top of the
+# 8 B/residue sort buffer; at 2^14 that is 0.4 MB, and the build peaks at
+# 9.3 B/residue at p = 1000003 against 10.0 with 2^16 slices, in the same
+# time.
+_SLICE = 1 << 14
 
 
 class Equation(enum.Enum):
@@ -143,16 +152,18 @@ def _part_axis(name: str) -> int:
 
 @dataclass(frozen=True, eq=False)
 class HaBuckets:
-    """Residues grouped by key(x) = x*ind(x) mod n.
+    """The residues that share key(x) = x*ind(x) mod n, grouped by key.
 
     (h, a) solves h^h = a^a (mod p) iff key(h) = key(a).  members lists the
-    residues ordered by key; bucket i occupies members[offsets[i]:offsets[i+1]].
-    offsets fit uint32 because p < 2^32.
+    m <= n residues whose key at least one other residue has, ordered by key;
+    bucket i occupies members[offsets[i]:offsets[i+1]] and has two or more
+    members.  A residue in no bucket pairs only with itself.  offsets fit
+    uint32 because p < 2^32.
     """
 
     p: int
     n: int
-    members: np.ndarray  # uint32, length n
+    members: np.ndarray  # uint32, length m <= n
     offsets: np.ndarray  # uint32, length num_buckets + 1
 
     @property
@@ -174,16 +185,19 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sum_chunks(tally_chunk, bounds: list[int], workers: int) -> np.ndarray:
-    """Sum tally_chunk(lo, hi) over the chunks [bounds[i], bounds[i + 1]),
-    serially or on at most one thread per worker, usable CPU and chunk; each
-    thread holds one chunk's transients at a time."""
+def _sum_chunks(tally_chunk, bounds: list[int], workers: int,
+                shape: int | tuple[int, ...]) -> np.ndarray:
+    """Sum tally_chunk(lo, hi), an int64 array of the given shape, over the
+    chunks [bounds[i], bounds[i + 1]) (zeros when there are none), serially or
+    on at most one thread per worker, usable CPU and chunk; each thread holds
+    one chunk's transients at a time."""
     chunks = list(zip(bounds[:-1], bounds[1:]))
+    zero = np.zeros(shape, dtype=np.int64)
     threads = min(workers, usable_cpus(), len(chunks))
     if threads <= 1:
-        return sum(tally_chunk(lo, hi) for lo, hi in chunks)
+        return sum((tally_chunk(lo, hi) for lo, hi in chunks), zero)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(lambda chunk: tally_chunk(*chunk), chunks))
+        return sum(pool.map(lambda chunk: tally_chunk(*chunk), chunks), zero)
 
 
 def _progressions(base: np.ndarray, step: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -213,33 +227,58 @@ def count_fp(t: ResidueTables, workers: int = 1) -> CountMatrix:
         keys = 4 * t.combo_by_index[ws] + np.repeat(t.combo[lo:hi], count)
         return np.bincount(keys, minlength=16)
 
-    tally = _sum_chunks(tally_chunk, [*range(1, t.p, _CHUNK), t.p], workers)
+    tally = _sum_chunks(tally_chunk, [*range(1, t.p, _CHUNK), t.p], workers, 16)
     counts = np.zeros((2, 4, 4), dtype=np.int64)
     counts[1] = class_matrix(tally.reshape(4, 4))
     return CountMatrix(p=t.p, equation=Equation.FP, counts=counts)
 
 
 def build_ha_buckets(t: ResidueTables) -> HaBuckets:
-    """Group residues by key(x) = x*ind(x) mod n in O(n log n).
+    """Group the residues that share key(x) = x*ind(x) mod n in O(n log n).
 
     One in-place sort of the packed values (key << 32) | x orders residues by
     key and, within a bucket, ascending.  Key and x each need 32 bits, so
-    this requires p < 2^32, which the table limit of 2^31 ensures.
+    this requires p < 2^32, which the table limit of 2^31 ensures.  A pass
+    over slices then drops the residues whose key no other residue has, and
+    writes the low words of the rest forward into the front of the sort
+    buffer and the bucket offsets right after them; the buffer is then shrunk
+    to both, so no second full-length array is ever held.
     """
     n = t.n
-    packed = np.arange(1, t.p, dtype=np.uint64)
-    packed *= t.ind[1:]
-    packed %= n
-    packed <<= 32
-    packed |= np.arange(1, t.p, dtype=np.uint32)
+    packed = np.empty(n, dtype=np.uint64)
+    for lo in range(0, n, _SLICE):
+        hi = min(lo + _SLICE, n)
+        x = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+        values = packed[lo:hi]
+        np.multiply(x, t.ind[lo + 1:hi + 1], out=values)
+        values -= values // n * n  # mod n: numpy's scalar floor-divide beats %
+        values <<= 32
+        values |= x
     packed.sort()
-    members = packed.astype(np.uint32)  # the low 32 bits
-    packed >>= 32  # now the sorted keys
-    starts = np.empty(n + 1, dtype=bool)  # a bucket starts at each key change
-    starts[0] = starts[n] = True
-    np.not_equal(packed[1:], packed[:-1], out=starts[1:n])
-    del packed
-    offsets = np.flatnonzero(starts).astype(np.uint32)
+    words = packed.view(np.uint32)
+    starts = []  # per slice: the kept members that open a bucket, by position in members
+    m = 0  # members written so far; they end at word m <= lo, below every unread value
+    previous = n  # the key before the slice; keys are below n
+    for lo in range(0, n, _SLICE):
+        hi = min(lo + _SLICE, n)
+        # new[i]: residue lo + i opens a key (new[hi - lo] closes the last one);
+        # two packed values share a key iff their xor is below 2^32.
+        new = np.ones(hi - lo + 1, dtype=bool)
+        new[0] = int(packed[lo]) >> 32 != previous
+        following = packed[lo + 1:hi + 1]
+        np.greater_equal(following ^ packed[lo:lo + len(following)], 1 << 32,
+                         out=new[1:len(following) + 1])
+        previous = int(packed[hi - 1]) >> 32
+        kept = np.flatnonzero(~(new[:-1] & new[1:]))  # keys shared with a neighbour
+        starts.append(np.flatnonzero(new[kept]).astype(np.uint32) + np.uint32(m))
+        words[m:m + len(kept)] = packed[lo:hi][kept]  # the low words
+        m += len(kept)
+    buckets = sum(map(len, starts))
+    np.concatenate([*starts, np.array([m], dtype=np.uint32)], out=words[m:m + buckets + 1])
+    del values, following, words, starts  # resize needs every view gone
+    packed.resize((m + buckets + 2) // 2)
+    words = packed.view(np.uint32)
+    members, offsets = words[:m], words[m:m + buckets + 1]
     members.setflags(write=False)
     offsets.setflags(write=False)
     return HaBuckets(p=t.p, n=n, members=members, offsets=offsets)
@@ -248,12 +287,14 @@ def build_ha_buckets(t: ResidueTables) -> HaBuckets:
 def count_ha(b: HaBuckets, t: ResidueTables, workers: int = 1) -> CountMatrix:
     """Count ordered pairs (h, a) with h^h = a^a (mod p); rows index a.
 
-    Within one bucket every ordered pair is a solution.  With c a bucket's
-    residue count per PR/RP combo, the combo-level total is the sum of the
-    outer products c c^T and the trivial part (the diagonal h = a) the sum of
-    c, i.e. global class intersections.  Each chunk of buckets counts its own
-    c with one bincount of combo * chunk length + local bucket id over its
-    members.
+    Within one bucket every ordered pair is a solution.  The trivial part
+    (the diagonal h = a) holds every residue once, so at combo level it is
+    the diagonal of the residues' per-combo counts, i.e. global class
+    intersections.  The nontrivial pairs lie in the buckets, which hold only
+    residues whose key is shared: with c a bucket's residue count per PR/RP
+    combo, they are the sum of the outer products c c^T less its diagonal
+    h = a, the sum of c.  Each chunk of buckets counts its own c with one
+    bincount of combo * chunk length + local bucket id over its members.
     """
     if b.p != t.p:
         raise InvalidInputError(f"buckets are for p={b.p}, tables for p={t.p}")
@@ -266,10 +307,11 @@ def count_ha(b: HaBuckets, t: ResidueTables, workers: int = 1) -> CountMatrix:
         c = np.bincount(key, minlength=4 * (hi - lo)).reshape(4, -1)  # c of bucket i is c[:, i]
         return np.vstack([c @ c.T, c.sum(axis=1)])
 
-    tally = _sum_chunks(tally_chunk, [*range(0, b.num_buckets, _CHUNK), b.num_buckets], workers)
-    trivial_combo = np.diag(tally[4])
+    tally = _sum_chunks(tally_chunk, [*range(0, b.num_buckets, _CHUNK), b.num_buckets],
+                        workers, (5, 4))
+    nontrivial = tally[:4] - np.diag(tally[4])
     return CountMatrix(p=t.p, equation=Equation.HA,
-                       counts=class_matrix(np.stack([trivial_combo, tally[:4] - trivial_combo])))
+                       counts=class_matrix(np.stack([np.diag(combo_counts(t)), nontrivial])))
 
 
 def completions(h: int, a: int, t: ResidueTables) -> list[int]:
@@ -329,11 +371,11 @@ def divisibility_table(t: ResidueTables) -> np.ndarray:
 def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) -> CountMatrix:
     """Count ordered pairs (g, h) with a = g^h mod p satisfying g^a = h.
 
-    Every solution's (h, a) pair shares a bucket key, so all solutions are
-    found by completing the pairs of each bucket.  A diagonal pair (a = h)
-    solves h*w = ind(h) (mod n) in w = ind(g), which is fp's congruence, so
-    the trivial part is fp's total grid, and its ORD row fp's (ANY, h RP)
-    cells.  The system h*w = ind(a), a*w = ind(h) (mod n) is symmetric in
+    Every solution's pair (h, a) with h != a shares a bucket, so the
+    nontrivial solutions are found by completing the pairs of each bucket.
+    A diagonal pair (a = h) solves h*w = ind(h) (mod n) in w = ind(g), which
+    is fp's congruence, so the trivial part is fp's total grid, and its ORD
+    row fp's (ANY, h RP) cells.  The system h*w = ind(a), a*w = ind(h) (mod n) is symmetric in
     (h, a), so only the pairs h < a are solved: a completion g is tallied for
     (h, a) in column combo(h), and in the ORD row when a is RP, and again for
     (a, h) in column combo(a), and in the ORD row when h is RP.
@@ -360,15 +402,13 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
     e_step = n // e
     offsets = b.offsets
     # Chunks are runs of whole buckets whose pairs h < a and members (s(s+1)/2
-    # for s > 1 members; singletons are dropped unread and count 0) add up to
-    # at most _CHUNK, or one bucket that alone holds more; int64 as s >= 2^16
-    # overflows int32.
+    # for s members) add up to at most _CHUNK, or one bucket that alone holds
+    # more; int64 as s >= 2^16 overflows int32.
     sizes = np.diff(offsets)
     pair_cum = np.zeros(b.num_buckets + 1, dtype=np.int64)
     np.add(sizes, 1, out=pair_cum[1:])
     pair_cum[1:] *= sizes
     pair_cum >>= 1
-    pair_cum[1:] -= sizes == 1
     del sizes
     np.cumsum(pair_cum, out=pair_cum)
     bounds = [0]
@@ -381,10 +421,9 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
         """64 bins over buckets [lo, hi)'s pairs h < a: combo(a)*16 + combo(h)*4 + combo(g)."""
         # Pairs are positions hp < ap in mem, so each gather is per member, not pair.
         sizes = np.diff(offsets[lo:hi + 1])
-        paired = np.repeat(sizes > 1, sizes)
         ends = np.repeat(offsets[lo + 1:hi + 1] - offsets[lo], sizes)
-        partners = (ends - np.arange(len(ends)) - 1)[paired]
-        mem = b.members[offsets[lo]:offsets[hi]][paired].astype(np.intp)
+        partners = ends - np.arange(len(ends)) - 1
+        mem = b.members[offsets[lo]:offsets[hi]].astype(np.intp)
         pos = np.arange(len(mem))
         hp = np.repeat(pos, partners)
         ap = np.arange(len(hp)) - np.repeat(np.cumsum(partners) - partners - pos - 1, partners)
@@ -411,7 +450,7 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
         ws = _progressions(base, e_step[pair], count)
         return np.bincount(np.repeat(pair_key, count) + t.combo_by_index[ws], minlength=64)
 
-    by_pair = _sum_chunks(tally_chunk, bounds, workers).reshape(4, 4, 4)  # (a, h, g) combos
+    by_pair = _sum_chunks(tally_chunk, bounds, workers, 64).reshape(4, 4, 4)  # (a, h, g) combos
     rp = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])  # [RP flag, combo]
     # Fold to [a RP, combo(g), combo(h)]; each pair counts again as (a, h).
     by_rp = np.einsum("rx,xhg->rgh", rp, by_pair) + np.einsum("rx,hxg->rgh", rp, by_pair)

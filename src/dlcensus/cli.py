@@ -25,12 +25,14 @@ from .residue_tables import build_tables, class_counts
 CLI_PRIME_LIMIT = 1 << 40
 THREADS_ENV_VAR = "DLCENSUS_THREADS"
 
-# Peak memory of a census, for the preflight check.  A child process running
-# `compare --prime 10000019 --threads 1` peaked at 290 MiB (ru_maxrss; Linux,
-# numpy 2.4.6), 30.4 B per residue with the interpreter's 29 MiB included, here
-# rounded up (26.4 B at p = 30000001); a second worker added about 11 MiB at
-# p = 1000003, 10000019 and 30000001.
-BYTES_PER_RESIDUE = 31
+# Peak memory of a census, for the preflight check.  Child processes running
+# `compare --prime P --threads W` (ru_maxrss; Linux, numpy 2.4.6) peaked at
+# 57.8 MiB at p = 1000003, 242.0 MiB at 10000019 and 631.7 MiB at 30000001
+# with one worker; a second worker added about 11 MiB.  Less the worker
+# allowance, the largest row is 27.24 B per residue, at p = 1108801 where the
+# interpreter's 29 MiB dominates (22.0 at p = 10000019), here rounded up, so
+# the estimate covers every measured run.
+BYTES_PER_RESIDUE = 28
 WORKER_ALLOWANCE = 32 << 20
 
 EXIT_OK = 0

@@ -219,10 +219,15 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, n: int, scratch: np.ndarray) -> None:
     a -= np.multiply(np.floor_divide(a, n, out=scratch), n, out=scratch)
 
 
+def combo_counts(t: ResidueTables) -> np.ndarray:
+    """Residues 1..n per combo, int64 of length 4."""
+    # One combo at a time: bincount would cast the combo table to intp.
+    return np.array([np.count_nonzero(t.combo[1:] == c) for c in range(4)], dtype=np.int64)
+
+
 def class_counts(t: ResidueTables) -> ClassCounts:
     """Global class and intersection counts; |PR| = |RP| = phi(n) by construction."""
-    # One combo at a time: bincount would cast the combo table to intp.
-    counts = np.array([np.count_nonzero(t.combo[1:] == c) for c in range(4)], dtype=np.int64)
+    counts = combo_counts(t)
     cc = ClassCounts(p=t.p, combo_counts=counts, intersections=class_matrix(np.diag(counts)))
     phi = euler_phi(t.factors)
     if cc.count(ConditionClass.PR) != phi or cc.count(ConditionClass.RP) != phi:

@@ -1,11 +1,12 @@
 """Smoke test of the stage bench script: it runs every stage at a small prime
 and writes a BENCH file with one row per prime and worker count, each with
-count_tc's pair and singleton-bucket counts."""
+count_tc's pair count and the residues the buckets leave out."""
 
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from dlcensus.census import build_ha_buckets
@@ -32,8 +33,12 @@ def test_stages_writes_bench_file(tmp_path):
             assert stage["seconds"] >= 0 and stage["peak_bytes_per_residue"] > 0
         assert row["stages"]["build_tables"]["retained_bytes_per_residue"] >= 12
         assert row["child_peak_rss_mib"] > 0
-    offsets = [int(x) for x in build_ha_buckets(build_tables(10007)).offsets]
+    t = build_tables(10007)
+    offsets = [int(x) for x in build_ha_buckets(t).offsets]
     sizes = [hi - lo for lo, hi in zip(offsets, offsets[1:])]
+    keys = Counter(x * int(t.ind[x]) % t.n for x in range(1, t.p))
+    unshared = sum(1 for count in keys.values() if count == 1)
+    assert unshared > 0
     for row in rows:
         assert row["tc_pairs"] == sum(s * (s - 1) // 2 for s in sizes)
-        assert row["singleton_buckets"] == sizes.count(1)
+        assert row["unpaired_residues"] == unshared

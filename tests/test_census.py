@@ -66,23 +66,32 @@ class TestCountFp:
         assert np.array_equal(fp.part("nontrivial"), fp.part("total"))
 
 
+def bucket_groups(b):
+    return sorted(sorted(int(x) for x in b.bucket_members(i)) for i in range(b.num_buckets))
+
+
+def unpaired(b):
+    """Residues in no bucket: their key is theirs alone."""
+    return sorted(set(range(1, b.p)) - {int(x) for x in b.members})
+
+
 class TestHaBuckets:
     def test_p7_groups(self):
         b = build_ha_buckets(build_tables(7))
-        groups = sorted(sorted(int(x) for x in b.bucket_members(i))
-                        for i in range(b.num_buckets))
-        assert groups == [[1, 6], [2, 4], [3], [5]]
+        assert bucket_groups(b) == [[1, 6], [2, 4]]
+        assert unpaired(b) == [3, 5]
 
     def test_p5_groups(self):
         b = build_ha_buckets(build_tables(5))
-        groups = sorted(sorted(int(x) for x in b.bucket_members(i))
-                        for i in range(b.num_buckets))
-        assert groups == [[1, 4], [2], [3]]
+        assert bucket_groups(b) == [[1, 4]]
+        assert unpaired(b) == [2, 3]
 
-    def test_p2_single_bucket(self):
+    def test_p2_no_bucket(self):
+        # the one residue has a key of its own
         b = build_ha_buckets(build_tables(2))
-        assert b.num_buckets == 1
-        assert list(b.bucket_members(0)) == [1]
+        assert b.num_buckets == 0
+        assert b.members.tolist() == [] and b.offsets.tolist() == [0]
+        assert (b.members.dtype, b.offsets.dtype) == (np.uint32, np.uint32)
 
     @pytest.mark.parametrize("p", [p for p in range(2, 32) if is_prime(p)])
     def test_key_characterizes_solutions(self, p):
@@ -90,12 +99,17 @@ class TestHaBuckets:
         b = build_ha_buckets(t)
         key = [x * int(t.ind[x]) % t.n for x in range(p)]
         bucket = {int(x): i for i in range(b.num_buckets) for x in b.bucket_members(i)}
+        assert len(bucket) == len(b.members)  # no residue in two buckets
+        powers = [pow(x, x, p) for x in range(p)]
         for h in range(1, p):
+            # a residue is left out iff no other residue has its power
+            assert (h not in bucket) == (powers[1:].count(powers[h]) == 1), h
             for a in range(1, p):
-                same_power = pow(h, h, p) == pow(a, a, p)
+                same_power = powers[h] == powers[a]
                 assert (key[h] == key[a]) == same_power, (h, a)
-                assert (bucket[h] == bucket[a]) == same_power, (h, a)
-        assert int(b.sizes.sum()) == p - 1
+                if h != a:
+                    assert (h in bucket and bucket.get(h) == bucket.get(a)) == same_power, (h, a)
+        assert int(b.sizes.sum()) == p - 1 - len(unpaired(b))
 
     def test_per_bucket_class_counts(self):
         t = build_tables(7)
@@ -103,17 +117,30 @@ class TestHaBuckets:
         flags = {x: [True, t.is_pr(x), t.is_rp(x), t.is_pr(x) and t.is_rp(x)] for x in range(1, 7)}
         expected = {"trivial": [[0] * 4 for _ in range(4)],
                     "nontrivial": [[0] * 4 for _ in range(4)]}
+        pairs = [(x, x) for x in range(1, 7)]  # the diagonal runs over every residue
         for i in range(b.num_buckets):
             members = [int(x) for x in b.bucket_members(i)]
-            for h in members:
-                for a in members:
-                    grid = expected["trivial" if h == a else "nontrivial"]
-                    for r in range(4):
-                        for c in range(4):
-                            grid[r][c] += flags[a][r] and flags[h][c]
+            pairs += [(h, a) for h in members for a in members if h != a]
+        for h, a in pairs:
+            grid = expected["trivial" if h == a else "nontrivial"]
+            for r in range(4):
+                for c in range(4):
+                    grid[r][c] += flags[a][r] and flags[h][c]
         ha = count_ha(b, t)
         for part, grid in expected.items():
             assert ha.part(part).tolist() == grid, part
+
+    @pytest.mark.parametrize("p", [2, 3, 13, 1009])
+    def test_slices_keep_buckets(self, monkeypatch, p):
+        # slices of 1-7 residues end inside buckets and inside runs of
+        # unshared keys, and write members over values a slice before
+        t = build_tables(p)
+        want = build_ha_buckets(t)
+        for size in (1, 2, 3, 7):
+            monkeypatch.setattr(census, "_SLICE", size)
+            got = build_ha_buckets(t)
+            assert np.array_equal(got.members, want.members), size
+            assert np.array_equal(got.offsets, want.offsets), size
 
     def test_counts_bucket_beyond_uint16(self):
         # every key x * 0 is 0, so all 70000 residues share one bucket
@@ -129,16 +156,18 @@ class TestHaBuckets:
     @pytest.mark.parametrize("fill", [0, 1, 2, 3, "mixed"])
     def test_full_bucket_combo_counts(self, fill):
         # ind(1) = 1 gives residue 1 key 1; every other key x * 0 is 0, so
-        # residues 2..65536 fill one bucket of 65535 members.
+        # residues 2..65536 fill one bucket of 65535 members and residue 1,
+        # in none, still counts in the trivial part.
         p = 65537
         ind = np.zeros(p, dtype=np.uint32)
         ind[1] = 1
         x = np.arange(p)
         combo = (x % 4 if fill == "mixed" else np.full(p, fill)).astype(np.uint8)
-        combo[1] = 3 - combo[2]  # the singleton bucket differs from the full one
+        combo[1] = 3 - combo[2]  # residue 1 differs from the full bucket
         tables = SimpleNamespace(p=p, n=p - 1, ind=ind, combo=combo)
         b = build_ha_buckets(tables)
-        assert b.offsets.tolist() == [0, 65535, 65536]
+        assert b.offsets.tolist() == [0, 65535]
+        assert b.members.tolist() == list(range(2, p))
         full, single = np.bincount(combo[2:], minlength=4), np.bincount(combo[1:2], minlength=4)
         ha = count_ha(b, tables)
         assert np.array_equal(ha.part("trivial"), class_matrix(np.diag(full + single)))
@@ -170,15 +199,17 @@ class TestCountHa:
         # combo * chunk length reaches 3 * chunk length: past 255 for chunks
         # of 86-255 buckets and past 65535 for chunks of 21846-65535, so the
         # product must not stay in a small integer dtype.
-        t = build_tables(50021)
+        t = build_tables(100057)
         b = build_ha_buckets(t)
         assert b.num_buckets > chunk  # a full chunk and a partial one
         c = np.zeros((b.num_buckets, 4), dtype=np.int64)  # per-bucket combo counts
         np.add.at(c, (np.repeat(np.arange(b.num_buckets), b.sizes), t.combo[b.members]), 1)
         monkeypatch.setattr(census, "_CHUNK", chunk)
         ha = count_ha(b, t)
-        assert np.array_equal(ha.part("total"), class_matrix(c.T @ c))
-        assert np.array_equal(ha.part("trivial"), class_matrix(np.diag(c.sum(axis=0))))
+        in_buckets = np.diag(c.sum(axis=0))
+        assert np.array_equal(ha.part("nontrivial"), class_matrix(c.T @ c - in_buckets))
+        every = np.bincount(t.combo[1:], minlength=4)  # the diagonal holds every residue
+        assert np.array_equal(ha.part("trivial"), class_matrix(np.diag(every)))
 
     def test_rejects_mismatched_tables(self):
         b = build_ha_buckets(build_tables(7))

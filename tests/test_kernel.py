@@ -77,17 +77,19 @@ def test_divisor_pair_tables(p):
 def scalar_census(b, t):
     """Combo-level fp and tc tallies from the scalar completions(), which
     solves each congruence without the tables: fp (combo g, combo h), and tc
-    indexed (h = a, a RP, combo g, combo h)."""
+    indexed (h = a, a RP, combo g, combo h), over the diagonal h = a in
+    1..n and the in-bucket pairs h != a."""
     fp = np.zeros((4, 4), dtype=np.int64)
     tc = np.zeros((2, 2, 4, 4), dtype=np.int64)
+    pairs = [(h, h) for h in range(1, t.n + 1)]
     for i in range(b.num_buckets):
         group = [int(x) for x in b.bucket_members(i)]
-        for h in group:
-            for a in group:
-                for g in completions(h, a, t):
-                    tc[int(h == a), t.combo[a] >> 1, t.combo[g], t.combo[h]] += 1
-                    if h == a:
-                        fp[t.combo[g], t.combo[h]] += 1
+        pairs += [(h, a) for h in group for a in group if h != a]
+    for h, a in pairs:
+        for g in completions(h, a, t):
+            tc[int(h == a), t.combo[a] >> 1, t.combo[g], t.combo[h]] += 1
+            if h == a:
+                fp[t.combo[g], t.combo[h]] += 1
     return fp, tc
 
 
@@ -135,9 +137,10 @@ def test_buckets_match_stable_argsort(p):
     t = build_tables(p)
     b = build_ha_buckets(t)
     key = np.arange(1, p, dtype=np.int64) * t.ind[1:] % t.n
-    order = np.argsort(key, kind="stable")
-    sorted_keys = key[order]
-    offsets = np.concatenate([[0], np.flatnonzero(np.diff(sorted_keys)) + 1, [t.n]])
+    shared = np.bincount(key, minlength=t.n)[key] > 1  # only shared keys form buckets
+    order = np.flatnonzero(shared)[np.argsort(key[shared], kind="stable")]
+    starts = np.unique(key[order], return_index=True)[1]  # none when no key is shared
+    offsets = np.append(starts, len(order))
     expected = {"members": (order + 1).astype(np.uint32),
                 "offsets": offsets.astype(np.uint32)}
     for name, want in expected.items():

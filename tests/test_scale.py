@@ -79,7 +79,7 @@ def test_divisor_and_inverse_tables(p):
 
 
 def test_build_tables_peak_memory():
-    """Building the tables, which retain 15 B/residue, peaks at no more than
+    """Building the tables, which retain 12 B/residue, peaks at no more than
     30 B/residue under tracemalloc."""
     p = SCALE_PRIMES[0]
     tracemalloc.start()
@@ -101,10 +101,10 @@ def traced_peak(stage):
 
 
 def test_census_peak_memory():
-    """At p = 1000003 the bucket build peaks at no more than 15 B/residue above
-    the tables it starts from and its arrays retain at most 7, a 1-worker
-    count_tc peaks at 18 above the tables and buckets, and a whole census,
-    tables included, at 35."""
+    """At p = 1000003 the bucket build peaks at no more than 10 B/residue above
+    the tables it starts from (9.3 measured) and its arrays retain at most 4
+    (3.8), a 1-worker count_tc peaks at 6 above the tables and buckets (5.1),
+    and a whole census, tables included, at 23 (21.3)."""
     p = SCALE_PRIMES[0]
     tracemalloc.start()
     try:
@@ -115,7 +115,7 @@ def test_census_peak_memory():
         _, tc_peak = traced_peak(lambda: count_tc(b, t, fp, workers=1))
     finally:
         tracemalloc.stop()
-    assert buckets_peak / p <= 15
-    assert sum(v.nbytes for v in vars(b).values() if isinstance(v, np.ndarray)) / p <= 7
-    assert tc_peak / p <= 18
-    assert census_peak / p <= 35
+    assert buckets_peak / p <= 10
+    assert sum(v.nbytes for v in vars(b).values() if isinstance(v, np.ndarray)) / p <= 4
+    assert tc_peak / p <= 6
+    assert census_peak / p <= 23
