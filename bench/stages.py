@@ -6,8 +6,8 @@
 
 For every prime and worker count it runs the library stages in pipeline
 order: ``build_tables``, ``build_ha_buckets``, ``count_fp``, ``count_ha`` and
-``count_tc``.  Only the three counters take the worker count; the first two
-stages always run on one thread.
+``count_tc``.  Every stage but ``build_ha_buckets``, which runs on one thread,
+takes the worker count.
 
 * ``seconds``: ``perf_counter`` time of the stage, the minimum over ``K``
   untraced runs of the whole pipeline.
@@ -46,7 +46,8 @@ from pathlib import Path
 import numpy as np
 
 import dlcensus
-from dlcensus.census import HaBuckets, build_ha_buckets, count_fp, count_ha, count_tc, usable_cpus
+from dlcensus.census import HaBuckets, build_ha_buckets, count_fp, count_ha, count_tc
+from dlcensus.parallel import usable_cpus
 from dlcensus.residue_tables import build_tables
 
 PRIMES = (1000003, 1108801, 10000019, 30000001)
@@ -57,7 +58,7 @@ STAGES = ("build_tables", "build_ha_buckets", "count_fp", "count_ha", "count_tc"
 def pipeline(p: int, workers: int, state: dict):
     """Yield (stage name, thunk) in order; each thunk runs one stage and
     keeps its result in state."""
-    yield "build_tables", lambda: state.setdefault("t", build_tables(p))
+    yield "build_tables", lambda: state.setdefault("t", build_tables(p, workers))
     yield "build_ha_buckets", lambda: state.setdefault("b", build_ha_buckets(state["t"]))
     yield "count_fp", lambda: state.setdefault("fp", count_fp(state["t"], workers))
     yield "count_ha", lambda: count_ha(state["b"], state["t"], workers)

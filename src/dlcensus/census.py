@@ -22,9 +22,10 @@ The fp and tc kernels take every modular inverse from the per-prime tables
 the CRT lift of tc, from a tau(n) x tau(n) table over divisor pairs gathered
 from inv; solving a congruence or joining two costs gathers and integer
 arithmetic, with no inversion per residue or per pair.  Before that
-arithmetic, count_tc drops the pairs a tau(n) x tau(n) divisibility table
-shows unsolvable.  The scalar completions() solves the same congruences
-without the tables and serves as their reference.
+arithmetic, count_tc drops the pairs whose congruences have no solution, by
+testing divisibility with % on the values it gathers anyway.  The scalar
+completions() solves the same congruences without the tables and serves as
+their reference.
 
 All counters return a CountMatrix: one read-only (part, row, col) grid of
 trivial and nontrivial counts whose rows are ROWS over the row variable (g
@@ -32,22 +33,22 @@ for fp/tc, a for ha; the ORD row for tc only) and whose columns are CLASSES
 over h; part(name) reads one part's grid and entry(part, row, col) one cell,
 with total derived as trivial + nontrivial.  Each counter splits its work
 into chunks (residues for fp, buckets for ha and tc) whose tallies are plain
-integer arrays, summed on up to `workers` threads, so results are identical
-for every worker count.
+integer arrays, summed on up to `workers` threads by parallel.map_chunks, the
+driver the table build also runs on, so results are identical for every
+worker count.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .numtheory import solve_linear_congruence
+from .parallel import map_chunks
 from .residue_tables import (
     CLASSES,
     ROWS,
@@ -178,26 +179,12 @@ class HaBuckets:
         return self.members[self.offsets[i]:self.offsets[i + 1]]
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: the cap on worker threads."""
-    if hasattr(os, "sched_getaffinity"):  # Linux-only
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _sum_chunks(tally_chunk, bounds: list[int], workers: int,
                 shape: int | tuple[int, ...]) -> np.ndarray:
     """Sum tally_chunk(lo, hi), an int64 array of the given shape, over the
-    chunks [bounds[i], bounds[i + 1]) (zeros when there are none), serially or
-    on at most one thread per worker, usable CPU and chunk; each thread holds
-    one chunk's transients at a time."""
-    chunks = list(zip(bounds[:-1], bounds[1:]))
-    zero = np.zeros(shape, dtype=np.int64)
-    threads = min(workers, usable_cpus(), len(chunks))
-    if threads <= 1:
-        return sum((tally_chunk(lo, hi) for lo, hi in chunks), zero)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(lambda chunk: tally_chunk(*chunk), chunks), zero)
+    chunks [bounds[i], bounds[i + 1]) (zeros when there are none), on up to
+    `workers` threads."""
+    return sum(map_chunks(tally_chunk, bounds, workers), np.zeros(shape, dtype=np.int64))
 
 
 def _progressions(base: np.ndarray, step: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -358,16 +345,6 @@ def divisor_pair_tables(t: ResidueTables):
     return e, lift_mod, shared, lift
 
 
-def divisibility_table(t: ResidueTables) -> np.ndarray:
-    """tau(n) x tau(n) booleans: [i, k] tells whether divisors[i] divides
-    divisors[k].  A tc pair (h, a) can be solvable only when
-    [div_index[h], div_index[ind(a)]] and [div_index[a], div_index[ind(h)]]
-    both hold, since d | ind(a) iff d | gcd(ind(a), n) for a divisor d of n.
-    """
-    divs = t.divisors
-    return divs[None, :] % divs[:, None] == 0
-
-
 def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) -> CountMatrix:
     """Count ordered pairs (g, h) with a = g^h mod p satisfying g^a = h.
 
@@ -383,9 +360,9 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
     With d1 = gcd(h, n), d2 = gcd(a, n) and e = gcd(d1, d2), w solves
     h*w = ind(a) (mod n) iff d1 | ind(a) and w = u1 (mod s1), with
     u1 = (ind(a)/d1) * inv[h] and s1 = n/d1; likewise a*w = ind(h) gives u2
-    mod s2 = n/d2.  Pairs failing either divisibility are dropped first, by a
-    tau(n) x tau(n) table lookup at (div_index[h], div_index[ind(a)]) and
-    (div_index[a], div_index[ind(h)]).  On the rest the progressions meet iff
+    mod s2 = n/d2.  Pairs failing either divisibility are dropped first, by
+    testing ind(a) % d1 and ind(h) % d2 on the members' gathered ind and d,
+    which the CRT step reads anyway.  On the rest the progressions meet iff
     u1 = u2 mod n/lcm(d1, d2), and then in e indices w = u1 + s1*k (mod n/e),
     k = (u2 - u1)/(n/lcm) * lift[d1, d2] mod d1/e: gathers and integer
     arithmetic, no inversions.
@@ -397,25 +374,9 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
     n = t.n
     divs = t.divisors
     tau = len(divs)
-    divides = divisibility_table(t).ravel()
     e, lift_mod, shared, lift = (arr.ravel() for arr in divisor_pair_tables(t))
     e_step = n // e
     offsets = b.offsets
-    # Chunks are runs of whole buckets whose pairs h < a and members (s(s+1)/2
-    # for s members) add up to at most _CHUNK, or one bucket that alone holds
-    # more; int64 as s >= 2^16 overflows int32.
-    sizes = np.diff(offsets)
-    pair_cum = np.zeros(b.num_buckets + 1, dtype=np.int64)
-    np.add(sizes, 1, out=pair_cum[1:])
-    pair_cum[1:] *= sizes
-    pair_cum >>= 1
-    del sizes
-    np.cumsum(pair_cum, out=pair_cum)
-    bounds = [0]
-    while bounds[-1] < b.num_buckets:
-        stop = int(np.searchsorted(pair_cum, pair_cum[bounds[-1]] + _CHUNK, "right")) - 1
-        bounds.append(max(stop, bounds[-1] + 1))
-    del pair_cum
 
     def tally_chunk(lo: int, hi: int) -> np.ndarray:
         """64 bins over buckets [lo, hi)'s pairs h < a: combo(a)*16 + combo(h)*4 + combo(g)."""
@@ -428,16 +389,14 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
         hp = np.repeat(pos, partners)
         ap = np.arange(len(hp)) - np.repeat(np.cumsum(partners) - partners - pos - 1, partners)
         m_div = t.div_index[mem].astype(np.intp)
-        m_row = m_div * tau
-        m_ind_div = t.div_index[t.ind[mem]]
-        keep = divides[m_row[hp] + m_ind_div[ap]] & divides[m_row[ap] + m_ind_div[hp]]
+        m_d = divs[m_div]
+        m_ind = t.ind[mem].astype(np.int64)
+        keep = (m_ind[ap] % m_d[hp] == 0) & (m_ind[hp] % m_d[ap] == 0)
         hp, ap = hp[keep], ap[keep]
 
-        m_d = divs[m_div]
         m_cofactor = n // m_d
-        m_ind = t.ind[mem].astype(np.int64)
         m_inv = t.inv[mem].astype(np.int64)
-        pair = m_row[hp] + m_div[ap]
+        pair = m_div[hp] * tau + m_div[ap]
         s1 = m_cofactor[hp]
         u1 = m_ind[ap] // m_d[hp] * m_inv[hp] % s1
         diff = m_ind[hp] // m_d[ap] * m_inv[ap] % m_cofactor[ap] - u1
@@ -450,7 +409,8 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
         ws = _progressions(base, e_step[pair], count)
         return np.bincount(np.repeat(pair_key, count) + t.combo_by_index[ws], minlength=64)
 
-    by_pair = _sum_chunks(tally_chunk, bounds, workers, 64).reshape(4, 4, 4)  # (a, h, g) combos
+    by_pair = _sum_chunks(tally_chunk, _tc_bounds(offsets), workers, 64)
+    by_pair = by_pair.reshape(4, 4, 4)  # (a, h, g) combos
     rp = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])  # [RP flag, combo]
     # Fold to [a RP, combo(g), combo(h)]; each pair counts again as (a, h).
     by_rp = np.einsum("rx,xhg->rgh", rp, by_pair) + np.einsum("rx,hxg->rgh", rp, by_pair)
@@ -459,6 +419,34 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
     trivial = np.vstack([f, f[0, rp_cols]])
     nontrivial = np.vstack([class_matrix(by_rp.sum(axis=0)), class_vector(by_rp[1].sum(axis=0))])
     return CountMatrix(p=t.p, equation=Equation.TC, counts=np.stack([trivial, nontrivial]))
+
+
+def _tc_bounds(offsets: np.ndarray) -> list[int]:
+    """count_tc's chunks: runs of whole buckets whose pairs h < a and members
+    (s(s+1)/2 for s members) add up to at most _CHUNK, or one bucket that
+    alone holds more.  Each chunk ends at the last bucket that still fits,
+    found slice by slice over the offsets, so no array over all buckets is
+    held; weights are int64, as s >= 2^16 overflows int32."""
+    buckets = len(offsets) - 1
+    bounds = [0]
+    carried = 0  # weight of the open chunk's buckets before the slice
+    for lo in range(0, buckets, _SLICE):
+        hi = min(lo + _SLICE, buckets)
+        sizes = np.diff(offsets[lo:hi + 1]).astype(np.int64)
+        cum = np.zeros(hi - lo + 1, dtype=np.int64)  # weight of buckets [lo, lo + j)
+        np.cumsum(sizes * (sizes + 1) >> 1, out=cum[1:])
+        while True:
+            start = bounds[-1]
+            base = cum[start - lo] if start >= lo else -carried
+            stop = lo + int(np.searchsorted(cum, base + _CHUNK, "right")) - 1
+            stop = max(stop, start + 1)
+            if stop >= hi:  # the chunk may take buckets of the next slice
+                carried = int(cum[-1] - base)
+                break
+            bounds.append(stop)
+    if bounds[-1] < buckets:
+        bounds.append(buckets)
+    return bounds
 
 
 def census_all(t: ResidueTables, equations=tuple(Equation),

@@ -19,6 +19,7 @@ from . import census, oracle, predictor, report
 from .census import Equation
 from .errors import InvalidInputError, InvariantViolation, MalformedRecordError
 from .numtheory import factorize, is_prime, next_primes, prime_context
+from .parallel import usable_cpus
 from .predictor import ha_geneq_form, ha_squarefree_form, ha_sum_form
 from .residue_tables import build_tables, class_counts
 
@@ -27,12 +28,12 @@ THREADS_ENV_VAR = "DLCENSUS_THREADS"
 
 # Peak memory of a census, for the preflight check.  Child processes running
 # `compare --prime P --threads W` (ru_maxrss; Linux, numpy 2.4.6) peaked at
-# 57.8 MiB at p = 1000003, 242.0 MiB at 10000019 and 631.7 MiB at 30000001
-# with one worker; a second worker added about 11 MiB.  Less the worker
-# allowance, the largest row is 27.24 B per residue, at p = 1108801 where the
-# interpreter's 29 MiB dominates (22.0 at p = 10000019), here rounded up, so
-# the estimate covers every measured run.
-BYTES_PER_RESIDUE = 28
+# 52.1 MiB at p = 1000003, 233.0 MiB at 10000019 and 631.8 MiB at 30000001
+# with one worker; a second worker added about 7 MiB.  Less the worker
+# allowance, the largest row is 21.09 B per residue, at p = 1108801 (21.08 at
+# p = 1000003 and 10000019), here rounded up, so the estimate covers every
+# measured run.
+BYTES_PER_RESIDUE = 22
 WORKER_ALLOWANCE = 32 << 20
 
 EXIT_OK = 0
@@ -66,7 +67,7 @@ def _non_negative_int(text: str) -> int:
 def _threads(requested: int | None) -> int:
     """Worker count: --threads, else DLCENSUS_THREADS, else every CPU this
     process may run on; never more than those CPUs."""
-    usable = census.usable_cpus()
+    usable = usable_cpus()
     env = os.environ.get(THREADS_ENV_VAR)
     if requested is None and env is not None:
         try:
@@ -175,8 +176,8 @@ def _build_parser() -> _Parser:
 def _cmd_count(args) -> int:
     _require_prime(args.prime)
     _require_memory(args.prime, args.threads)
-    matrices = census.census_all(build_tables(args.prime), _equations(args.equation),
-                                 args.threads)
+    matrices = census.census_all(build_tables(args.prime, args.threads),
+                                 _equations(args.equation), args.threads)
     for m in matrices.values():
         sys.stdout.buffer.write(report.render_counts(m, args.format))
     sys.stdout.buffer.flush()
@@ -197,7 +198,7 @@ def _compare_prime(p: int, equations: list[Equation], threads: int):
     """Reports for one prime, the cross-equation claims when applicable, and
     the names of all failed claims; only the reported censuses run."""
     ctx = prime_context(p)
-    tables = build_tables(p)
+    tables = build_tables(p, threads)
     observed = census.census_all(tables, equations, threads)
     counts = class_counts(tables)
     reports = [report.compare(observed[eq], predictor.predict_matrix(eq, ctx), counts)
@@ -270,7 +271,8 @@ def _cmd_oracle_check(args) -> int:
     brute_force = {Equation.FP: oracle.oracle_fp, Equation.HA: oracle.oracle_ha,
                    Equation.TC: oracle.oracle_tc}
     for p in primes:
-        for eq, fast in census.census_all(build_tables(p), workers=args.threads).items():
+        tables = build_tables(p, args.threads)
+        for eq, fast in census.census_all(tables, workers=args.threads).items():
             if fast != brute_force[eq](p):
                 print(f"oracle mismatch: p={p} equation={eq.value}", file=sys.stderr)
                 return EXIT_INVARIANT

@@ -8,12 +8,18 @@ gcd(ind[x], n) = 1) and RP when gcd(x, n) = 1.  The census reads g only by its
 flags, so powers are not kept: combo_by_index[w] holds the flags of root^w.
 Tables are immutable after construction and safe to share between readers.
 
+build_tables works in fixed slices of residues or indices, on up to
+`workers` threads through the shared driver parallel.map_chunks, so the
+tables do not depend on the worker count.  Powers of the root come slice by
+slice from baby-step/giant-step rows and are scattered into ind at once; no
+power table over all indices is ever held.
+
 Every modulus the census meets is a divisor of n, so its modular inverses are
 tabulated once per prime: inv[x] inverts x/d modulo n/d where d = gcd(x, n),
 and div_index[x] names d.  Together they retain about 6 B per residue (uint32
-inv, uint16 div_index).  Both come from one pass over fixed slices of
-residues: div_index by sieving the prime powers of n into a mixed-radix code
-of d, then ranking the codes; inv as (x/d)^(lambda(n)-1) mod n, powered with
+inv, uint16 div_index).  div_index comes from sieving the prime powers of n
+into a mixed-radix code of d, and one pass over slices of residues then
+ranks the codes and computes inv as (x/d)^(lambda(n)-1) mod n, powered with
 the scalar modulus n and reduced mod n/d at the end.
 """
 
@@ -34,9 +40,11 @@ from .numtheory import (
     is_prime,
     smallest_primitive_root,
 )
+from .parallel import map_chunks
 
 DEFAULT_PRIME_LIMIT = 1 << 31
-#: Residues per slice of the divisor-table pass; its buffers stay in cache.
+#: Residues, or indices in whole BSGS rows (the index pass), per slice of the
+#: table build and of combo_counts; a slice's buffers stay in cache.
 _SLICE = 1 << 16
 
 
@@ -130,41 +138,57 @@ class ClassCounts:
         return int(self.intersections[CLASSES.index(a), CLASSES.index(b)])
 
 
-def build_tables(p: int) -> ResidueTables:
-    """Build all tables for prime p in O(p) time and O(p) 32-bit memory."""
+def build_tables(p: int, workers: int = 1) -> ResidueTables:
+    """Build all tables for prime p in O(p) time and O(p) 32-bit memory.
+
+    Three passes over fixed slices, each run on up to `workers` threads, so
+    the tables are identical for every worker count; no power table is kept.
+    The divisor pass fills div_index and inv (see _divisor_tables).  The
+    index pass takes runs of whole baby-step/giant-step rows: row i, column j
+    holds x = root^w for w = i*m + j, and the slice scatters ind[x] = w and
+    sets combo_by_index[w] from the flags PR, div_index[w] = 0 (gcd(w, n) = 1),
+    and RP, div_index[x] = 0.  As w -> x is a permutation, slices write
+    disjoint entries and need no lock.  The combo pass then gathers
+    combo[x] = combo_by_index[ind[x]] by residue slices, which runs faster
+    than scattering combo from the index pass.
+    """
     if p > DEFAULT_PRIME_LIMIT:
         raise InvalidInputError(f"prime {p} above the table limit {DEFAULT_PRIME_LIMIT}")
     if not is_prime(p):
         raise InvalidInputError(f"not prime: {p}")
+    if workers < 1:
+        raise InvalidInputError(f"workers must be >= 1, got {workers}")
     n = p - 1
     factors = factorize(n) if n > 1 else Factored(1, ())
     root = smallest_primitive_root(p, factors)
+    divs, div_index, inv = _divisor_tables(factors, p, workers)
 
-    # pow via baby-step/giant-step outer product; entries stay below p^2 < 2^62.
     m = math.isqrt(n) + 1
-    baby = np.empty(m, dtype=np.uint64)
-    acc = 1
-    for j in range(m):
-        baby[j] = acc
-        acc = acc * root % p
-    stride = pow(root, m, p)
+    baby = _powers(root, m, p)
     giants = (n + m - 1) // m
-    giant = np.empty(giants, dtype=np.uint64)
-    acc = 1
-    for i in range(giants):
-        giant[i] = acc
-        acc = acc * stride % p
-    pow_table = ((giant[:, None] * baby[None, :]) % p).ravel()[:n].astype(np.uint32)
-
+    giant = _powers(pow(root, m, p), giants, p)
     ind = np.zeros(p, dtype=np.uint32)
-    ind[pow_table] = np.arange(n, dtype=np.uint32)
+    combo_by_index = np.empty(n, dtype=np.uint8)
 
-    divs, div_index, inv = _divisor_tables(factors, p)
-    pr = div_index[ind] == 0
-    rp = div_index == 0
-    combo = (pr.astype(np.uint8) + 2 * rp.astype(np.uint8))
-    combo[0] = 0
-    combo_by_index = combo[pow_table]
+    def index_slice(r0: int, r1: int) -> None:
+        """Giant rows [r0, r1): ind and combo_by_index at indices [r0*m, min(r1*m, n))."""
+        lo, hi = r0 * m, min(r1 * m, n)
+        x = np.multiply.outer(giant[r0:r1], baby).ravel()[:hi - lo]  # below p^2 < 2^62
+        x %= p
+        ind[x] = np.arange(lo, hi, dtype=np.uint32)
+        c = (div_index[x] == 0).view(np.uint8)
+        c <<= 1
+        c += div_index[lo:hi] == 0
+        combo_by_index[lo:hi] = c
+
+    rows = max(1, _SLICE // m)
+    map_chunks(index_slice, [*range(0, giants, rows), giants], workers)
+    combo = np.zeros(p, dtype=np.uint8)  # allocated only now, off the index pass's peak
+
+    def combo_slice(lo: int, hi: int) -> None:
+        combo[lo:hi] = combo_by_index[ind[lo:hi].astype(np.intp)]
+
+    map_chunks(combo_slice, [*range(1, p, _SLICE), p], workers)
 
     for arr in (ind, combo, combo_by_index, divs, div_index, inv):
         arr.setflags(write=False)
@@ -173,12 +197,25 @@ def build_tables(p: int) -> ResidueTables:
                          div_index=div_index, inv=inv)
 
 
-def _divisor_tables(factors: Factored, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """divisors, div_index and inv for x in [0, p-1], in one pass over slices.
+def _powers(base: int, count: int, p: int) -> np.ndarray:
+    """base^j mod p for j in [0, count), int64."""
+    out = np.empty(count, dtype=np.int64)
+    acc = 1
+    for j in range(count):
+        out[j] = acc
+        acc = acc * base % p
+    return out
+
+
+def _divisor_tables(factors: Factored, p: int,
+                    workers: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """divisors, div_index and inv for x in [0, p-1], over fixed slices of x
+    run on up to `workers` threads.
 
     div_index: each prime power of n is sieved into a mixed-radix code of
     d = gcd(x, n) (first prime least significant; by_code lists the divisors
-    in code order), and each code is then replaced by the rank of its divisor.
+    in code order) in one serial strided pass, and each slice then replaces
+    its codes by the ranks of their divisors.
     inv: y = x/d is a unit mod n/d, and n/d divides n, so lambda(n/d) divides
     lam = carmichael(n) and y^(lam-1) mod n, reduced mod n/d, inverts y.  The
     power runs with the scalar modulus n, where numpy's floor-divide is several
@@ -199,8 +236,8 @@ def _divisor_tables(factors: Factored, p: int) -> tuple[np.ndarray, np.ndarray, 
     bits = bin(carmichael(factors) - 1)[3:]
     cofactors = n // by_code
     inv = np.empty(p, dtype=np.uint32)
-    for start in range(0, p, _SLICE):
-        stop = min(start + _SLICE, p)
+
+    def divisor_slice(start: int, stop: int) -> None:
         code = div_index[start:stop].astype(np.intp)  # numpy gathers fastest by intp
         div_index[start:stop] = rank[code]
         base = np.arange(start, stop, dtype=np.uint64) // by_code[code]
@@ -210,6 +247,8 @@ def _divisor_tables(factors: Factored, p: int) -> tuple[np.ndarray, np.ndarray, 
             if bit == "1":
                 _mul_mod(result, base, n, scratch)
         inv[start:stop] = result % cofactors[code]
+
+    map_chunks(divisor_slice, [*range(0, p, _SLICE), p], workers)
     return divs.astype(np.int64), div_index, inv
 
 
@@ -221,8 +260,13 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, n: int, scratch: np.ndarray) -> None:
 
 def combo_counts(t: ResidueTables) -> np.ndarray:
     """Residues 1..n per combo, int64 of length 4."""
-    # One combo at a time: bincount would cast the combo table to intp.
-    return np.array([np.count_nonzero(t.combo[1:] == c) for c in range(4)], dtype=np.int64)
+    # One combo at a time (bincount would cast to intp), by slices, so each
+    # comparison holds a slice-sized bool array, not an n-byte one.
+    counts = np.zeros(4, dtype=np.int64)
+    for lo in range(1, t.p, _SLICE):
+        part = t.combo[lo:lo + _SLICE]
+        counts += [np.count_nonzero(part == c) for c in range(4)]
+    return counts
 
 
 def class_counts(t: ResidueTables) -> ClassCounts:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dlcensus import census
+from dlcensus import census, parallel, residue_tables
 from dlcensus.census import (
     CountMatrix,
     Equation,
@@ -278,6 +278,27 @@ class TestCountTc:
             with pytest.raises(InvalidInputError):
                 m.entry("total", ORD, ANY)
 
+    @pytest.mark.parametrize("chunk, slice_size",
+                             [(1, 1), (7, 2), (20, 3), (100, 5), (1000, 1 << 14)])
+    def test_chunk_bounds_are_greedy_runs_of_whole_buckets(self, monkeypatch, chunk, slice_size):
+        """The slice-by-slice bounds are the greedy runs of whole buckets whose
+        s(s+1)/2 weights fit the budget, or one bucket that alone exceeds it."""
+        monkeypatch.setattr(census, "_CHUNK", chunk)
+        monkeypatch.setattr(census, "_SLICE", slice_size)
+        rng = np.random.default_rng(chunk)
+        for _ in range(40):
+            sizes = [int(s) for s in rng.integers(2, rng.choice([3, 8, 40]), rng.integers(0, 50))]
+            want, used = [0], 0
+            for i, s in enumerate(sizes):
+                if i > want[-1] and used + s * (s + 1) // 2 > chunk:
+                    want.append(i)
+                    used = 0
+                used += s * (s + 1) // 2
+            if want[-1] < len(sizes):
+                want.append(len(sizes))
+            offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]).astype(np.uint32)
+            assert census._tc_bounds(offsets) == want, sizes
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("p", PRIMES_TO_100)
@@ -337,9 +358,11 @@ class TestCensusAll:
             assert runs[1][eq] == runs[2][eq] == runs[5][eq]
 
     def test_workers_clamped_to_usable_cpus(self, monkeypatch):
-        """Requested workers beyond the usable CPUs start no extra threads; a
-        serial stand-in pool records max_workers and starts no thread at all."""
+        """Requested workers beyond the usable CPUs start no extra threads, in
+        the census and in the table build; a serial stand-in pool records
+        max_workers and starts no thread at all."""
         monkeypatch.setattr(census, "_CHUNK", 4)  # at p=101 one chunk would start no pool
+        monkeypatch.setattr(residue_tables, "_SLICE", 4)  # and one table slice
         requested = []
 
         class SerialPool:
@@ -355,14 +378,19 @@ class TestCensusAll:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(census, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        assert census.usable_cpus() == 3
-        t = build_tables(101)
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert parallel.usable_cpus() == 3
+        t = build_tables(101, workers=10**6)
+        assert requested and max(requested) == 3
+        requested.clear()
         clamped = census_all(t, workers=10**6)
         assert requested and max(requested) == 3
-        monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
         requested.clear()
+        serial = build_tables(101, workers=10**6)
+        assert all(np.array_equal(getattr(serial, name), getattr(t, name))
+                   for name in ("ind", "combo", "combo_by_index", "div_index", "inv"))
         assert census_all(t, workers=10**6) == census_all(t, workers=1) == clamped
         assert requested == []
 

@@ -96,7 +96,7 @@ class TestFailFast:
         assert available is None or available > 0
 
     def test_memory_error_is_exit_2(self, capsys, monkeypatch):
-        def build_tables(p):
+        def build_tables(p, workers=1):
             raise MemoryError("Unable to allocate 8.00 GiB")
         monkeypatch.setattr(cli, "build_tables", build_tables)
         code, out, err = run(capsys, "count", "--prime", "1000003", "--equation", "fp")

@@ -1,5 +1,5 @@
 """Property tests for the per-prime inverse and divisor tables, the ha
-buckets, the tc divisor-pair and divisibility tables and the table-driven
+buckets, the tc divisor-pair tables and solvability test, and the table-driven
 fp/tc kernels, against the scalar completion path."""
 
 import math
@@ -16,7 +16,6 @@ from dlcensus.census import (
     count_fp,
     count_ha,
     count_tc,
-    divisibility_table,
     divisor_pair_tables,
 )
 from dlcensus.numtheory import next_primes
@@ -153,19 +152,19 @@ def test_buckets_match_stable_argsort(p):
 @given(small_primes)
 @with_edge_examples
 def test_prefilter_drops_only_unsolvable_pairs(p):
+    """count_tc drops an in-bucket pair (h, a) unless gcd(h, n) divides ind(a)
+    and gcd(a, n) divides ind(h); no dropped pair, and no diagonal pair the
+    same test fails, has a completion, and from p = 1000 on some are dropped."""
     t = build_tables(p)
     b = build_ha_buckets(t)
-    divides = divisibility_table(t)
-    divs = [int(d) for d in t.divisors]
-    assert divides.tolist() == [[k % i == 0 for k in divs] for i in divs]
-    ind_div = t.div_index[t.ind]
+    d = t.divisors[t.div_index]  # d[x] = gcd(x, n), checked in test_inverse_table_inverts
     dropped = 0
     for h, a in in_bucket_pairs(b):
-        if not (divides[t.div_index[h], ind_div[a]] and divides[t.div_index[a], ind_div[h]]):
+        if not (t.ind[a] % d[h] == 0 and t.ind[h] % d[a] == 0):
             dropped += 1
             assert completions(h, a, t) == [], (h, a)
     for h in range(1, p):
-        if not divides[t.div_index[h], ind_div[h]]:
+        if t.ind[h] % d[h] != 0:
             assert completions(h, h, t) == [], h
     assert p < 1000 or dropped > 0
 

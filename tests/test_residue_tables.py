@@ -1,8 +1,11 @@
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from dlcensus import residue_tables
 from dlcensus.errors import InvalidInputError
 from dlcensus.numtheory import euler_phi, is_prime, next_primes
 from dlcensus.residue_tables import (
@@ -71,6 +74,76 @@ class TestBuildTables:
         assert counts.count(ConditionClass.PR) == phi
         assert counts.count(ConditionClass.RP) == phi
         assert counts.count(ConditionClass.ANY) == n
+
+
+TABLE_FIELDS = ("ind", "combo", "combo_by_index", "divisors", "div_index", "inv")
+
+# sha256 of every table array (name, dtype, shape, bytes), from the build that
+# tabulated the whole power table at once, before the build ran in slices.
+TABLE_DIGESTS = {
+    2: "4c2f52b1494b63656ff7cef85f5632d0b24079005dd4722df74bc36fb5516199",
+    3: "e33b203c9ecc7372f397b0867d67700d870d34af5212b0a8779ce5dd684ec82d",
+    2521: "f82e4be90386d85f8f41790844ecf99aa6cc7daa54a6a82f88e2288a3437b935",
+    7561: "d5b1fb2302c8a77fad47ef3a05599f87ac532497bea98838b3511829a21d6485",
+    100057: "4c9b715d039d85030f74ee706327c2a3af1fe3ec3e6c84fa2e1d9d020611496b",
+    1000003: "2c998e3be265556f0841b4acae84a9576881bba1a9b72d6bcaf51a0ec7f5a1eb",
+    1108801: "24fb6648786c90f00bfcfba947554b486dabb8994f81709209406a7111734d4b",
+}
+
+
+def tables_digest(t) -> str:
+    h = hashlib.sha256()
+    for name in TABLE_FIELDS:
+        a = getattr(t, name)
+        h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def reference_tables(p: int, root: int) -> dict[str, list[int]]:
+    """Every table by its definition, from Python's pow and math.gcd."""
+    n = p - 1
+    power = [pow(root, w, p) for w in range(n)]
+    ind = [0] * p
+    for w, x in enumerate(power):
+        ind[x] = w
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    rank = {d: i for i, d in enumerate(divisors)}
+    gcds = [math.gcd(x, n) for x in range(p)]  # gcd(0, n) = n
+    combo = [0] + [(math.gcd(ind[x], n) == 1) + 2 * (gcds[x] == 1) for x in range(1, p)]
+    return {"ind": ind, "combo": combo, "combo_by_index": [combo[x] for x in power],
+            "divisors": divisors, "div_index": [rank[d] for d in gcds],
+            "inv": [pow(x // d, -1, n // d) if d < n else 0 for x, d in enumerate(gcds)]}
+
+
+class TestSlicedBuild:
+    """The table build runs in fixed slices on up to `workers` threads; its
+    arrays match the definitions and the whole-table build bit for bit."""
+
+    @pytest.mark.parametrize("p", sorted(TABLE_DIGESTS))
+    def test_tables_identical_for_any_workers(self, p, monkeypatch):
+        """A lost or misplaced write by a concurrent slice would change a
+        digest; a short switch interval makes the threads interleave often."""
+        reference = reference_tables(p, build_tables(p).root) if p < 10**6 else None
+        # Small slices split even the small primes, so their slices run on threads.
+        slice_sizes = (residue_tables._SLICE, 999) if p < 10**6 else (residue_tables._SLICE,)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for slice_size in slice_sizes:
+                monkeypatch.setattr(residue_tables, "_SLICE", slice_size)
+                for workers in (1, 2, 3):
+                    t = build_tables(p, workers)
+                    assert tables_digest(t) == TABLE_DIGESTS[p], (slice_size, workers)
+                    if reference is not None:
+                        for name in TABLE_FIELDS:
+                            assert getattr(t, name).tolist() == reference[name], (name, workers)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_rejects_no_workers(self):
+        with pytest.raises(InvalidInputError):
+            build_tables(7, workers=0)
 
 
 class TestClassify:
