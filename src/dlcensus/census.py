@@ -211,7 +211,7 @@ def count_fp(t: ResidueTables, workers: int = 1) -> CountMatrix:
         w0 = ih // d * t.inv[lo:hi] % step
         count = np.where(ih % d == 0, d, 0)
         ws = _progressions(w0, step, count)
-        keys = 4 * t.combo_by_index[ws] + np.repeat(t.combo[lo:hi], count)
+        keys = 4 * t.combo_by_index[ws] + np.repeat(t.combo_by_index[ih], count)
         return np.bincount(keys, minlength=16)
 
     tally = _sum_chunks(tally_chunk, [*range(1, t.p, _CHUNK), t.p], workers, 16)
@@ -290,7 +290,8 @@ def count_ha(b: HaBuckets, t: ResidueTables, workers: int = 1) -> CountMatrix:
         """Rows 0-3: the sum of c c^T over buckets [lo, hi); row 4: the sum of c."""
         bounds = b.offsets[lo:hi + 1]
         key = np.repeat(np.arange(hi - lo), np.diff(bounds))
-        key += np.multiply(t.combo[b.members[bounds[0]:bounds[-1]]], hi - lo, dtype=np.intp)
+        combo = t.combo_by_index[t.ind[b.members[bounds[0]:bounds[-1]]]]
+        key += np.multiply(combo, hi - lo, dtype=np.intp)
         c = np.bincount(key, minlength=4 * (hi - lo)).reshape(4, -1)  # c of bucket i is c[:, i]
         return np.vstack([c @ c.T, c.sum(axis=1)])
 
@@ -404,7 +405,7 @@ def count_tc(b: HaBuckets, t: ResidueTables, fp: CountMatrix, workers: int = 1) 
         k = diff // step
         count = np.where(k * step == diff, e[pair], 0)
         base = u1 + s1 * (k * lift[pair] % lift_mod[pair])
-        m_combo = t.combo[mem]
+        m_combo = t.combo_by_index[m_ind]
         pair_key = m_combo[ap] * np.uint8(16) + m_combo[hp] * np.uint8(4)
         ws = _progressions(base, e_step[pair], count)
         return np.bincount(np.repeat(pair_key, count) + t.combo_by_index[ws], minlength=64)

@@ -28,13 +28,17 @@ THREADS_ENV_VAR = "DLCENSUS_THREADS"
 
 # Peak memory of a census, for the preflight check.  Child processes running
 # `compare --prime P --threads W` (ru_maxrss; Linux, numpy 2.4.6) peaked at
-# 52.1 MiB at p = 1000003, 233.0 MiB at 10000019 and 631.8 MiB at 30000001
-# with one worker; a second worker added about 7 MiB.  Less the worker
-# allowance, the largest row is 21.09 B per residue, at p = 1108801 (21.08 at
-# p = 1000003 and 10000019), here rounded up, so the estimate covers every
-# measured run.
-BYTES_PER_RESIDUE = 22
+# 50.9 MiB at p = 1000003, 53.5 MiB at 1108801, 223.3 MiB at 10000019 and
+# 603.4 MiB at 30000001 with one worker; a second worker added about 7 MiB.
+# Less the worker allowance, the largest row is 20.33 B per residue, at
+# p = 1108801 (19.82 at p = 1000003, 20.06 at 10000019, 19.97 at 30000001),
+# here rounded up, so the estimate covers every measured run.
+BYTES_PER_RESIDUE = 21
 WORKER_ALLOWANCE = 32 << 20
+
+#: Largest --digits.  It lies below 640, the least limit that
+#: sys.set_int_max_str_digits accepts, so no setting makes rendering fail.
+MAX_DIGITS = 500
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,10 +61,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _non_negative_int(text: str) -> int:
+def _digits(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if not 0 <= value <= MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be in [0, {MAX_DIGITS}], got {value}")
     return value
 
 
@@ -146,14 +150,14 @@ def _build_parser() -> _Parser:
     p_predict.add_argument("--prime", type=int, required=True)
     p_predict.add_argument("--equation", choices=eq_choices, default="all")
     p_predict.add_argument("--format", **fmt_kwargs)
-    p_predict.add_argument("--digits", type=_non_negative_int, default=3)
+    p_predict.add_argument("--digits", type=_digits, default=3, metavar=f"0..{MAX_DIGITS}")
 
     p_compare = sub.add_parser("compare", help="census vs predictions with exact claims")
     p_compare.add_argument("--prime", type=int, required=True)
     p_compare.add_argument("--equation", choices=eq_choices, default="all")
     p_compare.add_argument("--threads", type=_positive_int, default=None)
     p_compare.add_argument("--format", **fmt_kwargs)
-    p_compare.add_argument("--digits", type=_non_negative_int, default=3)
+    p_compare.add_argument("--digits", type=_digits, default=3, metavar=f"0..{MAX_DIGITS}")
     p_compare.add_argument("--out", default=None,
                            help="append result records to this JSONL file")
 

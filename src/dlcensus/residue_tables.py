@@ -1,12 +1,13 @@
 """Per-prime lookup tables: the index (discrete log) table of a primitive
-root, per-residue condition flags by residue and by index, and the divisor
-and inverse tables the census kernels complete congruences with.
+root, the condition flags by index, and the divisor and inverse tables the
+census kernels complete congruences with.
 
 Conventions used everywhere downstream: residues live in [1, p-1], indices in
 [0, n-1] with n = p - 1.  A residue x is PR when its order is n (equivalently
 gcd(ind[x], n) = 1) and RP when gcd(x, n) = 1.  The census reads g only by its
-flags, so powers are not kept: combo_by_index[w] holds the flags of root^w.
-Tables are immutable after construction and safe to share between readers.
+flags, so powers are not kept: combo_by_index[w] holds the flags of root^w,
+and a residue x's flags are combo_by_index[ind[x]].  Tables are immutable
+after construction and safe to share between readers.
 
 build_tables works in fixed slices of residues or indices, on up to
 `workers` threads through the shared driver parallel.map_chunks, so the
@@ -95,8 +96,8 @@ class ResidueTables:
     """Immutable lookup tables for one prime.
 
     ind[x] is the index of x, root^ind[x] = x (so x has multiplicative order
-    n / gcd(ind[x], n)); combo[x] is the PR/RP flag encoding and
-    combo_by_index[w] = combo[root^w].  Entry 0 of ind and combo is padding.
+    n / gcd(ind[x], n)), entry 0 being padding; combo_by_index[w] encodes the
+    PR/RP flags of root^w, so x's flags are combo_by_index[ind[x]].
 
     divisors lists the divisors of n ascending.  For x in [0, n], with
     d = gcd(x, n) (so d = n at x = 0), div_index[x] is the position of d in
@@ -109,17 +110,16 @@ class ResidueTables:
     factors: Factored
     root: int
     ind: np.ndarray  # uint32, length p, residue -> index
-    combo: np.ndarray  # uint8, length p, residue -> combo code
     combo_by_index: np.ndarray  # uint8, length n, index -> combo code
     divisors: np.ndarray  # int64, length tau(n), ascending
     div_index: np.ndarray  # uint16 (tau(n) <= 1600 for n < 2^31), length p
     inv: np.ndarray  # uint32, length p
 
     def is_pr(self, x: int) -> bool:
-        return bool(self.combo[x] & 1)
+        return bool(self.div_index[self.ind[x]] == 0)
 
     def is_rp(self, x: int) -> bool:
-        return bool(self.combo[x] & 2)
+        return bool(self.div_index[x] == 0)
 
 
 @dataclass(frozen=True)
@@ -141,16 +141,14 @@ class ClassCounts:
 def build_tables(p: int, workers: int = 1) -> ResidueTables:
     """Build all tables for prime p in O(p) time and O(p) 32-bit memory.
 
-    Three passes over fixed slices, each run on up to `workers` threads, so
+    Two passes over fixed slices, each run on up to `workers` threads, so
     the tables are identical for every worker count; no power table is kept.
     The divisor pass fills div_index and inv (see _divisor_tables).  The
     index pass takes runs of whole baby-step/giant-step rows: row i, column j
     holds x = root^w for w = i*m + j, and the slice scatters ind[x] = w and
     sets combo_by_index[w] from the flags PR, div_index[w] = 0 (gcd(w, n) = 1),
     and RP, div_index[x] = 0.  As w -> x is a permutation, slices write
-    disjoint entries and need no lock.  The combo pass then gathers
-    combo[x] = combo_by_index[ind[x]] by residue slices, which runs faster
-    than scattering combo from the index pass.
+    disjoint entries and need no lock.
     """
     if p > DEFAULT_PRIME_LIMIT:
         raise InvalidInputError(f"prime {p} above the table limit {DEFAULT_PRIME_LIMIT}")
@@ -183,16 +181,9 @@ def build_tables(p: int, workers: int = 1) -> ResidueTables:
 
     rows = max(1, _SLICE // m)
     map_chunks(index_slice, [*range(0, giants, rows), giants], workers)
-    combo = np.zeros(p, dtype=np.uint8)  # allocated only now, off the index pass's peak
-
-    def combo_slice(lo: int, hi: int) -> None:
-        combo[lo:hi] = combo_by_index[ind[lo:hi].astype(np.intp)]
-
-    map_chunks(combo_slice, [*range(1, p, _SLICE), p], workers)
-
-    for arr in (ind, combo, combo_by_index, divs, div_index, inv):
+    for arr in (ind, combo_by_index, divs, div_index, inv):
         arr.setflags(write=False)
-    return ResidueTables(p=p, n=n, factors=factors, root=root, ind=ind, combo=combo,
+    return ResidueTables(p=p, n=n, factors=factors, root=root, ind=ind,
                          combo_by_index=combo_by_index, divisors=divs,
                          div_index=div_index, inv=inv)
 
@@ -260,11 +251,12 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, n: int, scratch: np.ndarray) -> None:
 
 def combo_counts(t: ResidueTables) -> np.ndarray:
     """Residues 1..n per combo, int64 of length 4."""
-    # One combo at a time (bincount would cast to intp), by slices, so each
+    # w -> root^w maps the indices onto the residues, so count by index.  One
+    # combo at a time (bincount would cast to intp), by slices, so each
     # comparison holds a slice-sized bool array, not an n-byte one.
     counts = np.zeros(4, dtype=np.int64)
-    for lo in range(1, t.p, _SLICE):
-        part = t.combo[lo:lo + _SLICE]
+    for lo in range(0, t.n, _SLICE):
+        part = t.combo_by_index[lo:lo + _SLICE]
         counts += [np.count_nonzero(part == c) for c in range(4)]
     return counts
 

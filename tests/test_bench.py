@@ -31,7 +31,7 @@ def test_stages_writes_bench_file(tmp_path):
         assert tuple(row["stages"]) == STAGES
         for stage in row["stages"].values():
             assert stage["seconds"] >= 0 and stage["peak_bytes_per_residue"] > 0
-        assert row["stages"]["build_tables"]["retained_bytes_per_residue"] >= 12
+        assert row["stages"]["build_tables"]["retained_bytes_per_residue"] >= 11
         assert row["child_peak_rss_mib"] > 0
     t = build_tables(10007)
     offsets = [int(x) for x in build_ha_buckets(t).offsets]

@@ -146,7 +146,7 @@ class TestHaBuckets:
         # every key x * 0 is 0, so all 70000 residues share one bucket
         p = 70001
         tables = SimpleNamespace(p=p, n=p - 1, ind=np.zeros(p, dtype=np.uint32),
-                                 combo=np.zeros(p, dtype=np.uint8))
+                                 combo_by_index=np.zeros(p - 1, dtype=np.uint8))
         b = build_ha_buckets(tables)
         assert b.offsets.tolist() == [0, 70000]
         ha = count_ha(b, tables)
@@ -155,24 +155,31 @@ class TestHaBuckets:
 
     @pytest.mark.parametrize("fill", [0, 1, 2, 3, "mixed"])
     def test_full_bucket_combo_counts(self, fill):
-        # ind(1) = 1 gives residue 1 key 1; every other key x * 0 is 0, so
-        # residues 2..65536 fill one bucket of 65535 members and residue 1,
-        # in none, still counts in the trivial part.
-        p = 65537
-        ind = np.zeros(p, dtype=np.uint32)
-        ind[1] = 1
-        x = np.arange(p)
-        combo = (x % 4 if fill == "mixed" else np.full(p, fill)).astype(np.uint8)
-        combo[1] = 3 - combo[2]  # residue 1 differs from the full bucket
-        tables = SimpleNamespace(p=p, n=p - 1, ind=ind, combo=combo)
+        # n = 2^17: odd x has index 3 * x^-1 mod n, hence key 3, so the 2^16
+        # odd residues fill one bucket; even x has index x mod n and an even
+        # key, outside it.  ind maps the residues onto the indices, so the
+        # trivial part, counted by index, covers every residue once.
+        n = 1 << 17
+        ind = np.zeros(n + 1, dtype=np.uint32)
+        ind[1::2] = [3 * pow(x, -1, n) % n for x in range(1, n, 2)]
+        ind[2::2] = np.arange(2, n + 1, 2) % n
+        w = np.arange(n)
+        combo_by_index = ((w >> 1) % 4 if fill == "mixed"
+                          else np.where(w % 2 == 1, fill, 3 - fill)).astype(np.uint8)
+        tables = SimpleNamespace(p=n + 1, n=n, ind=ind, combo_by_index=combo_by_index)
         b = build_ha_buckets(tables)
-        assert b.offsets.tolist() == [0, 65535]
-        assert b.members.tolist() == list(range(2, p))
-        full, single = np.bincount(combo[2:], minlength=4), np.bincount(combo[1:2], minlength=4)
+        full = np.flatnonzero(b.sizes >= 65535)
+        assert len(full) == 1 and b.bucket_members(full[0]).tolist() == list(range(1, n, 2))
+        x = np.arange(1, n + 1)
+        flags = combo_by_index[ind[x]]
+        if fill == "mixed":
+            assert np.all(np.bincount(flags[::2], minlength=4) > 0)  # every combo in the bucket
+        _, key = np.unique(x * ind[x].astype(np.int64) % n, return_inverse=True)
+        c = np.zeros((key.max() + 1, 4), dtype=np.int64)  # per-key combo counts
+        np.add.at(c, (key, flags), 1)
         ha = count_ha(b, tables)
-        assert np.array_equal(ha.part("trivial"), class_matrix(np.diag(full + single)))
-        assert np.array_equal(ha.part("total"),
-                              class_matrix(np.outer(full, full) + np.outer(single, single)))
+        assert np.array_equal(ha.part("trivial"), class_matrix(np.diag(c.sum(axis=0))))
+        assert np.array_equal(ha.part("total"), class_matrix(c.T @ c))
 
 
 class TestCountHa:
@@ -203,12 +210,14 @@ class TestCountHa:
         b = build_ha_buckets(t)
         assert b.num_buckets > chunk  # a full chunk and a partial one
         c = np.zeros((b.num_buckets, 4), dtype=np.int64)  # per-bucket combo counts
-        np.add.at(c, (np.repeat(np.arange(b.num_buckets), b.sizes), t.combo[b.members]), 1)
+        combo = t.combo_by_index[t.ind[b.members]]
+        np.add.at(c, (np.repeat(np.arange(b.num_buckets), b.sizes), combo), 1)
         monkeypatch.setattr(census, "_CHUNK", chunk)
         ha = count_ha(b, t)
         in_buckets = np.diag(c.sum(axis=0))
         assert np.array_equal(ha.part("nontrivial"), class_matrix(c.T @ c - in_buckets))
-        every = np.bincount(t.combo[1:], minlength=4)  # the diagonal holds every residue
+        # the diagonal holds every residue
+        every = np.bincount(t.combo_by_index[t.ind[1:]], minlength=4)
         assert np.array_equal(ha.part("trivial"), class_matrix(np.diag(every)))
 
     def test_rejects_mismatched_tables(self):
@@ -390,7 +399,7 @@ class TestCensusAll:
         requested.clear()
         serial = build_tables(101, workers=10**6)
         assert all(np.array_equal(getattr(serial, name), getattr(t, name))
-                   for name in ("ind", "combo", "combo_by_index", "div_index", "inv"))
+                   for name in ("ind", "combo_by_index", "div_index", "inv"))
         assert census_all(t, workers=10**6) == census_all(t, workers=1) == clamped
         assert requested == []
 

@@ -119,6 +119,20 @@ class TestFailFast:
         assert code == 1
         assert "--digits" in err and out == ""
 
+    @pytest.mark.parametrize("command", ["compare", "predict"])
+    def test_digits_above_bound_is_usage_error(self, capsys, monkeypatch, command):
+        self.forbid_census(monkeypatch)
+        for digits in (cli.MAX_DIGITS + 1, 99999999999):
+            code, out, err = run(capsys, command, "--prime", "3", "--digits", str(digits))
+            assert code == 1
+            assert "--digits" in err and "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("command", ["compare", "predict"])
+    def test_digits_at_bound(self, capsys, command):
+        code, out, _ = run(capsys, command, "--prime", "3", "--digits", str(cli.MAX_DIGITS))
+        assert code == 0
+        assert "." + "0" * cli.MAX_DIGITS in out
+
     def test_sweep_unwritable_out(self, capsys, monkeypatch, tmp_path):
         self.forbid_census(monkeypatch)
         code, out, err = run(capsys, "sweep", "--start", "5", "--count", "2",

@@ -84,11 +84,12 @@ def scalar_census(b, t):
     for i in range(b.num_buckets):
         group = [int(x) for x in b.bucket_members(i)]
         pairs += [(h, a) for h in group for a in group if h != a]
+    combo = t.combo_by_index[t.ind]  # entry 0 is padding
     for h, a in pairs:
         for g in completions(h, a, t):
-            tc[int(h == a), t.combo[a] >> 1, t.combo[g], t.combo[h]] += 1
+            tc[int(h == a), combo[a] >> 1, combo[g], combo[h]] += 1
             if h == a:
-                fp[t.combo[g], t.combo[h]] += 1
+                fp[combo[g], combo[h]] += 1
     return fp, tc
 
 

@@ -59,8 +59,10 @@ class TestBuildTables:
         # ind inverts the powers of the root and is a bijection onto [0, n-1]
         assert all(pow(t.root, int(t.ind[x]), p) == x for x in range(1, p))
         assert np.array_equal(np.sort(t.ind[1:]), np.arange(n))
-        # combo_by_index is combo read by index
-        assert np.array_equal(t.combo_by_index[t.ind[1:]], t.combo[1:])
+        # every residue's flags, read by its index, are PR and RP by gcd
+        expected = [(math.gcd(int(t.ind[x]), n) == 1) + 2 * (math.gcd(x, n) == 1)
+                    for x in range(1, p)]
+        assert t.combo_by_index[t.ind[1:]].tolist() == expected
         # order-from-index law: brute-force order equals n / gcd(ind[x], n)
         for x in range(1, p):
             value, order = x, 1
@@ -76,18 +78,19 @@ class TestBuildTables:
         assert counts.count(ConditionClass.ANY) == n
 
 
-TABLE_FIELDS = ("ind", "combo", "combo_by_index", "divisors", "div_index", "inv")
+TABLE_FIELDS = ("ind", "combo_by_index", "divisors", "div_index", "inv")
 
-# sha256 of every table array (name, dtype, shape, bytes), from the build that
-# tabulated the whole power table at once, before the build ran in slices.
+# sha256 of every table array (name, dtype, shape, bytes); each array holds
+# the bytes of the build that tabulated the whole power table at once, before
+# the build ran in slices.
 TABLE_DIGESTS = {
-    2: "4c2f52b1494b63656ff7cef85f5632d0b24079005dd4722df74bc36fb5516199",
-    3: "e33b203c9ecc7372f397b0867d67700d870d34af5212b0a8779ce5dd684ec82d",
-    2521: "f82e4be90386d85f8f41790844ecf99aa6cc7daa54a6a82f88e2288a3437b935",
-    7561: "d5b1fb2302c8a77fad47ef3a05599f87ac532497bea98838b3511829a21d6485",
-    100057: "4c9b715d039d85030f74ee706327c2a3af1fe3ec3e6c84fa2e1d9d020611496b",
-    1000003: "2c998e3be265556f0841b4acae84a9576881bba1a9b72d6bcaf51a0ec7f5a1eb",
-    1108801: "24fb6648786c90f00bfcfba947554b486dabb8994f81709209406a7111734d4b",
+    2: "9587cf24c4ed6b13c3bcc4ba526001da2d07e4a56f32480fdd648335fae39e47",
+    3: "2deafeb80e64de8d4c5f535e4e54251309f111f8325d7be4f18d545a23d7356a",
+    2521: "ee91355b65bdda0a5e4a3aacbf8d92f8c842e16b5b3ff4190c0cead4169b713e",
+    7561: "3515c98fb847796a0ad4ee050525d1e96023e70fca4553843cd23d09f12179fa",
+    100057: "106fa20b99094f636dedda20078f3c63b661fb4416be6f51654f9ebb6190de3a",
+    1000003: "fea1073b0f79b2e7e44cc4d378582a8e3b97248abb9dff0dd7cfa4a493a9a2fa",
+    1108801: "6c92234aad84f1a6cd56f7eff7dbb99f6c5925ceb8a91eac24e675581e93765b",
 }
 
 
@@ -110,8 +113,8 @@ def reference_tables(p: int, root: int) -> dict[str, list[int]]:
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     rank = {d: i for i, d in enumerate(divisors)}
     gcds = [math.gcd(x, n) for x in range(p)]  # gcd(0, n) = n
-    combo = [0] + [(math.gcd(ind[x], n) == 1) + 2 * (gcds[x] == 1) for x in range(1, p)]
-    return {"ind": ind, "combo": combo, "combo_by_index": [combo[x] for x in power],
+    combo_by_index = [(math.gcd(w, n) == 1) + 2 * (gcds[x] == 1) for w, x in enumerate(power)]
+    return {"ind": ind, "combo_by_index": combo_by_index,
             "divisors": divisors, "div_index": [rank[d] for d in gcds],
             "inv": [pow(x // d, -1, n // d) if d < n else 0 for x, d in enumerate(gcds)]}
 
