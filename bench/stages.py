@@ -4,6 +4,8 @@
     PYTHONPATH=src python3 bench/stages.py --tag NAME [--repeat K]
         [--primes P ...] [--workers W ...] [--out-dir DIR]
 
+``DIR`` (default ``.``) must exist; that is checked before any stage runs.
+
 For every prime and worker count it runs the library stages in pipeline
 order: ``build_tables``, ``build_ha_buckets``, ``count_fp``, ``count_ha`` and
 ``count_tc``.  Every stage but ``build_ha_buckets``, which runs on one thread,
@@ -140,6 +142,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1 or min(args.workers) < 1:
         parser.error("--repeat and --workers must be >= 1")
+    if not args.out_dir.is_dir():
+        parser.error(f"--out-dir {args.out_dir} is not a directory")
 
     # The children run first: a child's ru_maxrss starts from the resident size
     # of this process when it spawns, which the in-process stages raise.

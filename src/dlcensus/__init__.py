@@ -20,7 +20,6 @@ from .census import (
     HaBuckets,
     build_ha_buckets,
     census_all,
-    completion_sum,
     completions,
     count_fp,
     count_ha,
@@ -40,7 +39,7 @@ from .numtheory import (
     smallest_primitive_root,
     solve_linear_congruence,
 )
-from .oracle import ORACLE_PRIME_LIMIT, oracle_fp, oracle_ha, oracle_tc
+from .oracle import ORACLE_PRIME_LIMIT, oracle_census
 from .predictor import (
     FormulaId,
     PredictionMatrix,

@@ -262,8 +262,11 @@ def build_ha_buckets(t: ResidueTables) -> HaBuckets:
         m += len(kept)
     buckets = sum(map(len, starts))
     np.concatenate([*starts, np.array([m], dtype=np.uint32)], out=words[m:m + buckets + 1])
-    del values, following, words, starts  # resize needs every view gone
-    packed.resize((m + buckets + 2) // 2)
+    del values, following, words, starts
+    # No view of the buffer survives the del, so skipping numpy's reference
+    # check is safe; a profiler or tracer holds references to packed itself
+    # (a bound method, the frame's locals), which the check would refuse.
+    packed.resize((m + buckets + 2) // 2, refcheck=False)
     words = packed.view(np.uint32)
     members, offsets = words[:m], words[m:m + buckets + 1]
     members.setflags(write=False)
@@ -468,25 +471,3 @@ def census_all(t: ResidueTables, equations=tuple(Equation),
             matrices[Equation.TC] = count_tc(b, t, matrices[Equation.FP], workers=workers)
     return {eq: matrices[eq] for eq in equations}
 
-
-def completion_sum(b: HaBuckets, t: ResidueTables) -> tuple[int, bool]:
-    """Sum of |completions(h, a)| over nontrivial in-bucket ordered pairs.
-
-    Returns the sum, which must equal the tc nontrivial (ANY, ANY) count,
-    and whether every pair with gcd(h, a, n) = 1 had exactly one completion.
-    Scalar enumeration; intended for verification, not production counting.
-    """
-    n = t.n
-    total = 0
-    gcd1_single = True
-    for i in range(b.num_buckets):
-        group = [int(x) for x in b.bucket_members(i)]
-        for h in group:
-            for a in group:
-                if h == a:
-                    continue
-                found = len(completions(h, a, t))
-                total += found
-                if math.gcd(math.gcd(h, a), n) == 1 and found != 1:
-                    gcd1_single = False
-    return total, gcd1_single

@@ -214,6 +214,6 @@ def prime_context(p: int) -> PrimeContext:
     """Bundle a prime with the factorization, divisors, and totient of p - 1."""
     if not is_prime(p):
         raise InvalidInputError(f"not prime: {p}")
-    f = factorize(p - 1) if p > 2 else Factored(1, ())
+    f = factorize(p - 1)
     divs = tuple(d for d, _ in divisors_with_phi(f))
     return PrimeContext(p=p, n=p - 1, factors=f, divisors=divs, phi=euler_phi(f))

@@ -1,9 +1,10 @@
-"""Naive brute-force counters used to validate the census on small primes.
+"""Naive brute-force census used to validate the index-table census on
+small primes.
 
-These deliberately share nothing with the index-table algorithms beyond
-the condition-class definitions: orders come from repeated
-multiplication, solutions from double loops over all pairs.  Quadratic in p,
-hence the hard prime limit.
+oracle_census shares nothing with the index-table algorithms beyond the
+condition-class definitions: orders come from repeated multiplication,
+solutions from double loops over all pairs, one over (g, h) for fp and tc
+and one over (h, a) for ha.  Quadratic in p, hence the hard prime limit.
 """
 
 from __future__ import annotations
@@ -20,13 +21,6 @@ from .residue_tables import class_matrix, class_vector
 ORACLE_PRIME_LIMIT = 2000
 
 
-def _check(p: int) -> None:
-    if p > ORACLE_PRIME_LIMIT:
-        raise InvalidInputError(f"oracle limit is p <= {ORACLE_PRIME_LIMIT}, got {p}")
-    if not is_prime(p):
-        raise InvalidInputError(f"not prime: {p}")
-
-
 def _combos(p: int) -> list[int]:
     """Per-residue PR/RP combo codes from naive order computation."""
     n = p - 1
@@ -41,46 +35,36 @@ def _combos(p: int) -> list[int]:
     return codes
 
 
-def oracle_fp(p: int) -> CountMatrix:
-    """Count g^h = h (mod p) by checking all (g, h) pairs; all nontrivial."""
-    _check(p)
-    combo = _combos(p)
-    tally = np.zeros((2, 4, 4), dtype=np.int64)
-    for g in range(1, p):
-        for h in range(1, p):
-            if pow(g, h, p) == h:
-                tally[1, combo[g], combo[h]] += 1
-    return CountMatrix(p=p, equation=Equation.FP, counts=class_matrix(tally))
+def oracle_census(p: int) -> dict[Equation, CountMatrix]:
+    """fp, ha and tc count matrices at p, keyed like census.census_all.
 
-
-def oracle_ha(p: int) -> CountMatrix:
-    """Count h^h = a^a (mod p) by comparing all (h, a) pairs; rows index a."""
-    _check(p)
-    combo = _combos(p)
-    self_power = [0] + [pow(x, x, p) for x in range(1, p)]
-    tally = np.zeros((2, 4, 4), dtype=np.int64)
-    for h in range(1, p):
-        for a in range(1, p):
-            if self_power[h] == self_power[a]:
-                tally[int(h != a), combo[a], combo[h]] += 1
-    return CountMatrix(p=p, equation=Equation.HA, counts=class_matrix(tally))
-
-
-def oracle_tc(p: int) -> CountMatrix:
-    """Count pairs (g, h) whose companion a = g^h satisfies g^a = h (mod p),
-    split on a = h, with the ord row tallying solutions where gcd(a, n) = 1."""
-    _check(p)
+    One pass over all (g, h), with a = g^h (mod p), counts fp when a = h (all
+    nontrivial) and tc when g^a = h: trivial when a = h, and in the ORD row
+    too when gcd(a, n) = 1.  ha compares x^x over all (h, a); its rows index a.
+    """
+    if p > ORACLE_PRIME_LIMIT:
+        raise InvalidInputError(f"oracle limit is p <= {ORACLE_PRIME_LIMIT}, got {p}")
+    if not is_prime(p):
+        raise InvalidInputError(f"not prime: {p}")
     n = p - 1
     combo = _combos(p)
-    tally = np.zeros((2, 4, 4), dtype=np.int64)
-    ord_tally = np.zeros((2, 4), dtype=np.int64)
+    fp, ha, tc = (np.zeros((2, 4, 4), dtype=np.int64) for _ in Equation)
+    tc_ord = np.zeros((2, 4), dtype=np.int64)
     for g in range(1, p):
         for h in range(1, p):
             a = pow(g, h, p)
-            if pow(g, a, p) != h:
-                continue
-            tally[int(h != a), combo[g], combo[h]] += 1
-            if math.gcd(a, n) == 1:
-                ord_tally[int(h != a), combo[h]] += 1
-    counts = np.concatenate([class_matrix(tally), class_vector(ord_tally)[:, None]], axis=1)
-    return CountMatrix(p=p, equation=Equation.TC, counts=counts)
+            if a == h:
+                fp[1, combo[g], combo[h]] += 1
+            if pow(g, a, p) == h:
+                tc[int(a != h), combo[g], combo[h]] += 1
+                if math.gcd(a, n) == 1:
+                    tc_ord[int(a != h), combo[h]] += 1
+    self_power = [0] + [pow(x, x, p) for x in range(1, p)]
+    for h in range(1, p):
+        for a in range(1, p):
+            if self_power[h] == self_power[a]:
+                ha[int(h != a), combo[a], combo[h]] += 1
+    tc_counts = np.concatenate([class_matrix(tc), class_vector(tc_ord)[:, None]], axis=1)
+    return {Equation.FP: CountMatrix(p=p, equation=Equation.FP, counts=class_matrix(fp)),
+            Equation.HA: CountMatrix(p=p, equation=Equation.HA, counts=class_matrix(ha)),
+            Equation.TC: CountMatrix(p=p, equation=Equation.TC, counts=tc_counts)}

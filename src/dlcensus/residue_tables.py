@@ -157,7 +157,7 @@ def build_tables(p: int, workers: int = 1) -> ResidueTables:
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
     n = p - 1
-    factors = factorize(n) if n > 1 else Factored(1, ())
+    factors = factorize(n)
     root = smallest_primitive_root(p, factors)
     divs, div_index, inv = _divisor_tables(factors, p, workers)
 

@@ -16,14 +16,13 @@ from dlcensus.census import (
     Equation,
     build_ha_buckets,
     census_all,
-    completion_sum,
     count_fp,
     count_ha,
     count_tc,
 )
 from dlcensus.cli import dispatch
 from dlcensus.numtheory import factorize, is_prime, prime_context
-from dlcensus.oracle import oracle_fp, oracle_ha, oracle_tc
+from dlcensus.oracle import oracle_census
 from dlcensus.predictor import (
     FormulaId,
     formula_value,
@@ -40,6 +39,7 @@ from dlcensus.report import (
     render_counts,
 )
 from dlcensus.residue_tables import CLASSES, build_tables, class_counts
+from scalar_reference import bucket_pairs, scalar_tc
 
 REFERENCE_PRIME = 100057
 
@@ -142,13 +142,10 @@ def test_criterion_5_oracle_equivalence(capsys):
     start = time.perf_counter()
     mismatches = []
     for p in SMALL_PRIMES:
-        fp, ha, tc = census_all(build_tables(p), workers=1).values()
-        if fp != oracle_fp(p):
-            mismatches.append((p, "fp"))
-        if ha != oracle_ha(p):
-            mismatches.append((p, "ha"))
-        if tc != oracle_tc(p):
-            mismatches.append((p, "tc"))
+        brute_force = oracle_census(p)
+        for eq, fast in census_all(build_tables(p), workers=1).items():
+            if fast != brute_force[eq]:
+                mismatches.append((p, eq.value))
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         note(5, not mismatches and elapsed <= 120.0,
@@ -186,10 +183,10 @@ def _structural_failures(p, fp, ha, tc, tables, buckets) -> list[str]:
         rep = compare(observed, predict_matrix(eq, ctx), counts)
         bad += [f"p={p}:{c.name}" for c in rep.claims if not c.passed]
     bad += [f"p={p}:{c.name}" for c in cross_equation_checks(ha, tc) if not c.passed]
-    total, gcd1_single = completion_sum(buckets, tables)
-    if total != tc.entry("nontrivial", CLASSES[0], CLASSES[0]):
-        bad.append(f"p={p}:completion_sum {total}")
-    if not gcd1_single:
+    counts, not_single = scalar_tc(tables, bucket_pairs(buckets))
+    if not np.array_equal(counts[1], tc.part("nontrivial")):  # (ANY, ANY): the completion sum
+        bad.append(f"p={p}:scalar_completions {counts[1, 0, 0]}")
+    if not_single:
         bad.append(f"p={p}:gcd1_multiplicity")
     return bad
 

@@ -2,12 +2,15 @@
 and writes a BENCH file with one row per prime and worker count, each with
 count_tc's pair count and the residues the buckets leave out."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from dlcensus.census import build_ha_buckets
 from dlcensus.residue_tables import build_tables
@@ -42,3 +45,18 @@ def test_stages_writes_bench_file(tmp_path):
     for row in rows:
         assert row["tc_pairs"] == sum(s * (s - 1) // 2 for s in sizes)
         assert row["unpaired_residues"] == unshared
+
+
+def test_missing_out_dir_fails_before_any_stage(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("stages", ROOT / "bench" / "stages.py")
+    stages = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stages)
+
+    def stage(*args):
+        raise AssertionError("a stage ran")
+    monkeypatch.setattr(stages, "child_peak_rss_mib", stage)
+    monkeypatch.setattr(stages, "measure", stage)
+    with pytest.raises(SystemExit) as exit_info:
+        stages.main(["--tag", "x", "--primes", "10007", "--out-dir", str(tmp_path / "absent")])
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "absent").exists()

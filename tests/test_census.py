@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,6 @@ from dlcensus.census import (
     Equation,
     build_ha_buckets,
     census_all,
-    completion_sum,
     completions,
     count_fp,
     count_ha,
@@ -19,7 +19,7 @@ from dlcensus.census import (
 )
 from dlcensus.errors import InvalidInputError
 from dlcensus.numtheory import is_prime
-from dlcensus.oracle import oracle_fp, oracle_ha, oracle_tc
+from dlcensus.oracle import oracle_census
 from dlcensus.report import render_counts
 from dlcensus.residue_tables import (
     CLASSES,
@@ -29,6 +29,7 @@ from dlcensus.residue_tables import (
     class_counts,
     class_matrix,
 )
+from scalar_reference import bucket_pairs, scalar_tc
 
 ANY, PR, RP, RPPR = CLASSES
 ORD = ConditionClass.ORD
@@ -141,6 +142,25 @@ class TestHaBuckets:
             got = build_ha_buckets(t)
             assert np.array_equal(got.members, want.members), size
             assert np.array_equal(got.offsets, want.offsets), size
+
+    @pytest.mark.parametrize("hook", ["setprofile", "settrace"])
+    def test_builds_under_profiler_or_tracer(self, hook):
+        # a profiler or tracer holds its own reference to the sort buffer (a
+        # bound method, or the frame's locals) while the buffer is shrunk
+        t = build_tables(10007)
+        want = build_ha_buckets(t)
+
+        def tracer(frame, event, arg):
+            return tracer
+
+        previous = getattr(sys, "get" + hook[3:])()
+        getattr(sys, hook)(tracer)
+        try:
+            got = build_ha_buckets(t)
+        finally:
+            getattr(sys, hook)(previous)
+        assert np.array_equal(got.members, want.members)
+        assert np.array_equal(got.offsets, want.offsets)
 
     def test_counts_bucket_beyond_uint16(self):
         # every key x * 0 is 0, so all 70000 residues share one bucket
@@ -313,9 +333,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("p", PRIMES_TO_100)
     def test_all_equations(self, p):
         _, _, fp, ha, tc = census_for(p)
-        assert fp == oracle_fp(p)
-        assert ha == oracle_ha(p)
-        assert tc == oracle_tc(p)
+        assert {Equation.FP: fp, Equation.HA: ha, Equation.TC: tc} == oracle_census(p)
 
 
 class TestStructuralInvariants:
@@ -339,9 +357,9 @@ class TestStructuralInvariants:
     @pytest.mark.parametrize("p", [p for p in range(2, 62) if is_prime(p)])
     def test_completion_sum_law(self, p):
         t, b, fp, ha, tc = census_for(p)
-        total, gcd1_single = completion_sum(b, t)
-        assert total == tc.entry("nontrivial", ANY, ANY)
-        assert gcd1_single
+        counts, not_single = scalar_tc(t, bucket_pairs(b))
+        assert counts[1, 0, 0] == tc.entry("nontrivial", ANY, ANY)
+        assert not_single == []  # gcd(h, a, n) = 1 gives exactly one completion
 
     @pytest.mark.parametrize("p", [p for p in range(2, 62) if is_prime(p)])
     def test_tc_ha_correspondences(self, p):
@@ -450,7 +468,7 @@ class TestCountMatrixPayload:
 
     @pytest.mark.parametrize("p", (2, 13))
     def test_one_read_only_grid(self, p):
-        brute = {Equation.FP: oracle_fp(p), Equation.HA: oracle_ha(p), Equation.TC: oracle_tc(p)}
+        brute = oracle_census(p)
         for eq, fast in census_all(build_tables(p)).items():
             for m in (fast, brute[eq]):
                 assert not m.counts.flags.writeable

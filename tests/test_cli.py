@@ -285,3 +285,11 @@ class TestIdentities:
     def test_bad_bound(self, capsys):
         code, _, _ = run(capsys, "identities", "--max-n", "0")
         assert code == 2
+
+    def test_bound_above_limit_fails_before_work(self, capsys, monkeypatch):
+        def factorize(n):
+            raise AssertionError("identities started")
+        monkeypatch.setattr(cli, "factorize", factorize)
+        code, out, err = run(capsys, "identities", "--max-n", str(cli.MAX_IDENTITY_N + 1))
+        assert code == 2
+        assert str(cli.MAX_IDENTITY_N) in err and out == ""

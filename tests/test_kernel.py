@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from dlcensus import census
 from dlcensus.census import (
+    HaBuckets,
     build_ha_buckets,
-    completion_sum,
     completions,
     count_fp,
     count_ha,
@@ -19,9 +19,8 @@ from dlcensus.census import (
     divisor_pair_tables,
 )
 from dlcensus.numtheory import next_primes
-from dlcensus.residue_tables import CLASSES, build_tables, class_matrix, class_vector
-
-ANY = CLASSES[0]
+from dlcensus.residue_tables import build_tables
+from scalar_reference import bucket_pairs, scalar_tc
 
 # Edge shapes of n = p - 1: n = 1 and 2, n a power of 2 (17, 257), safe
 # primes (n = 2q with q prime: 1019, 2039), and highly composite n (2520
@@ -73,26 +72,6 @@ def test_divisor_pair_tables(p):
             assert (d2 // g) * int(lift[i, j]) % modulus == 1 % modulus
 
 
-def scalar_census(b, t):
-    """Combo-level fp and tc tallies from the scalar completions(), which
-    solves each congruence without the tables: fp (combo g, combo h), and tc
-    indexed (h = a, a RP, combo g, combo h), over the diagonal h = a in
-    1..n and the in-bucket pairs h != a."""
-    fp = np.zeros((4, 4), dtype=np.int64)
-    tc = np.zeros((2, 2, 4, 4), dtype=np.int64)
-    pairs = [(h, h) for h in range(1, t.n + 1)]
-    for i in range(b.num_buckets):
-        group = [int(x) for x in b.bucket_members(i)]
-        pairs += [(h, a) for h in group for a in group if h != a]
-    combo = t.combo_by_index[t.ind]  # entry 0 is padding
-    for h, a in pairs:
-        for g in completions(h, a, t):
-            tc[int(h == a), combo[a] >> 1, combo[g], combo[h]] += 1
-            if h == a:
-                fp[combo[g], combo[h]] += 1
-    return fp, tc
-
-
 @bounded
 @given(small_primes)
 @with_edge_examples
@@ -101,24 +80,11 @@ def test_kernels_match_scalar_completions(p):
     b = build_ha_buckets(t)
     fp = count_fp(t)
     tc = count_tc(b, t, fp)
-    total, _ = completion_sum(b, t)
-    assert tc.entry("nontrivial", ANY, ANY) == total
-    scalar_fp, scalar_tc = scalar_census(b, t)
-    assert np.array_equal(fp.part("total"), class_matrix(scalar_fp))
-    trivial, nontrivial = tc.part("trivial"), tc.part("nontrivial")
-    assert np.array_equal(trivial[:4], class_matrix(scalar_tc[1].sum(axis=0)))
-    assert np.array_equal(nontrivial[:4], class_matrix(scalar_tc[0].sum(axis=0)))
-    assert np.array_equal(trivial[4], class_vector(scalar_tc[1, 1].sum(axis=0)))
-    assert np.array_equal(nontrivial[4], class_vector(scalar_tc[0, 1].sum(axis=0)))
-
-
-def in_bucket_pairs(b):
-    """Every in-bucket pair (h, a) with h < a."""
-    for i in range(b.num_buckets):
-        group = [int(x) for x in b.bucket_members(i)]
-        for k, h in enumerate(group):
-            for a in group[k + 1:]:
-                yield h, a
+    pairs = [(h, h) for h in range(1, p)] + list(bucket_pairs(b))
+    counts, not_single = scalar_tc(t, pairs)
+    assert np.array_equal(fp.part("total"), counts[0, :4])
+    assert np.array_equal(tc.counts, counts)
+    assert not_single == []
 
 
 @bounded
@@ -126,7 +92,7 @@ def in_bucket_pairs(b):
 @with_edge_examples
 def test_completions_symmetric_in_bucket(p):
     t = build_tables(p)
-    for h, a in in_bucket_pairs(build_ha_buckets(t)):
+    for h, a in bucket_pairs(build_ha_buckets(t)):
         assert completions(h, a, t) == completions(a, h, t), (h, a)
 
 
@@ -160,7 +126,7 @@ def test_prefilter_drops_only_unsolvable_pairs(p):
     b = build_ha_buckets(t)
     d = t.divisors[t.div_index]  # d[x] = gcd(x, n), checked in test_inverse_table_inverts
     dropped = 0
-    for h, a in in_bucket_pairs(b):
+    for h, a in bucket_pairs(b):
         if not (t.ind[a] % d[h] == 0 and t.ind[h] % d[a] == 0):
             dropped += 1
             assert completions(h, a, t) == [], (h, a)
@@ -192,3 +158,24 @@ def test_chunking_keeps_counts(p):
                 assert got == want, (chunk, workers)
     finally:
         census._CHUNK = default
+
+
+def test_tc_pairs_sharing_factors_with_n_at_1e6():
+    """The in-bucket pairs whose members both share a factor with n at
+    p = 1000003, against the scalar completions.  No runtime claim ties these
+    pairs to ha, as neither member is RP, so their ORD row is zero."""
+    t = build_tables(1000003)
+    b = build_ha_buckets(t)
+    bucket = np.repeat(np.arange(b.num_buckets), b.sizes)
+    shares = np.gcd(b.members.astype(np.int64), t.n) > 1
+    sizes = np.bincount(bucket[shares], minlength=b.num_buckets)
+    keep = shares & (sizes[bucket] >= 2)
+    offsets = np.concatenate([[0], np.cumsum(sizes[sizes >= 2])]).astype(np.uint32)
+    sub = HaBuckets(p=t.p, n=t.n, members=b.members[keep], offsets=offsets)
+    pairs = list(bucket_pairs(sub))
+    assert len(pairs) == 486_436
+    counts, not_single = scalar_tc(t, pairs)
+    tc = count_tc(sub, t, count_fp(t))
+    assert np.array_equal(tc.part("nontrivial"), counts[1])
+    assert not tc.part("nontrivial")[4].any()
+    assert not_single == []
